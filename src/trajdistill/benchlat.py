@@ -77,16 +77,7 @@ def _infer_scene(kind: str, scene: Scene, params: md.ModelParams) -> None:
         for aid in ids:
             md.teacher_forward(scene, aid, params)
     else:
-        try:
-            md.student_predict(scene, ids, params)
-        except md.OutOfExtentError:
-            # keep measurable timings when some agent falls off the grid
-            enc = md.student_forward_scene(scene, params)
-            for aid in ids:
-                try:
-                    md.student_decode_agent(enc, scene, aid, params)
-                except md.OutOfExtentError:
-                    continue
+        md.student_decode(md.student_forward_scene(scene, params), scene, ids, params)
 
 
 def run_bench(

@@ -2,7 +2,7 @@
 
 Subcommands: gen, train, distill, eval, bench. Exit codes: 0 success,
 2 usage or configuration error, 3 I/O error, 4 semantic error (incompatible
-models, malformed datasets, and similar).
+models, malformed datasets or checkpoints, and similar).
 
 JSON config files must carry ``schema_version`` = 1; unknown keys are
 rejected rather than ignored. Every long-running command writes a run
@@ -144,7 +144,9 @@ def _load_params(prefix: str):
 
     try:
         return tr.load_checkpoint(prefix)
-    except tr.CheckpointError:
+    except tr.CheckpointError as exc:
+        if isinstance(exc.__cause__, OSError):
+            raise IOFailure(f"cannot read checkpoint {prefix}: {exc.__cause__}") from exc
         raise
     except OSError as exc:
         raise IOFailure(f"cannot read checkpoint {prefix}: {exc}") from exc

@@ -8,7 +8,8 @@ Design notes:
     one side; there is no general broadcasting. Row broadcasting, where a model
     needs it, is expressed with an explicit ones-matmul.
   * Every op checks its output for non-finite values and raises immediately,
-    which keeps failures close to their cause during training.
+    which keeps failures close to their cause during training. ``unstack``
+    is the exception: its rows are parts of a tensor already checked.
 """
 
 from __future__ import annotations
@@ -73,7 +74,7 @@ class Tape:
 class Tensor:
     """Dense numeric buffer, optionally a recorded node on the active tape."""
 
-    __slots__ = ("data", "grad", "_parents", "_backward", "op", "node_id")
+    __slots__ = ("data", "grad", "_parents", "_backward", "op")
 
     def __init__(self, data, dtype=None):
         self.data = np.asarray(data, dtype=dtype or DEFAULT_DTYPE)
@@ -81,7 +82,6 @@ class Tensor:
         self._parents: tuple = ()
         self._backward: Callable | None = None
         self.op: str = "leaf"
-        self.node_id: int = -1
 
     @property
     def shape(self):
@@ -150,6 +150,11 @@ def _accum(t: Tensor, g: np.ndarray) -> None:
 def _make(data: np.ndarray, parents: tuple, backward: Callable | None, op: str) -> Tensor:
     if not np.all(np.isfinite(data)):
         raise NonFiniteError(f"op '{op}' produced non-finite values")
+    return _record(data, parents, backward, op)
+
+
+def _record(data: np.ndarray, parents: tuple, backward: Callable | None, op: str) -> Tensor:
+    """Wrap an op result; append it to the active tape, if any."""
     out = Tensor.__new__(Tensor)
     out.data = data
     out.grad = None
@@ -158,12 +163,10 @@ def _make(data: np.ndarray, parents: tuple, backward: Callable | None, op: str) 
     if tape is not None:
         out._parents = parents
         out._backward = backward
-        out.node_id = len(tape.nodes)
         tape.nodes.append(out)
     else:
         out._parents = ()
         out._backward = None
-        out.node_id = -1
     return out
 
 
@@ -293,6 +296,22 @@ def reshape(t, shape) -> Tensor:
         _accum(t, g.reshape(t.data.shape))
 
     return _make(data, (t,), backward, "reshape")
+
+
+def unstack(t) -> list[Tensor]:
+    """Split along axis 0: one tensor per row, each a view of row i."""
+    t = as_tensor(t)
+
+    def row_backward(i):
+        def backward(g):
+            if t.grad is None:
+                t.grad = np.zeros_like(t.data)
+            t.grad[i] += g
+
+        return backward
+
+    # no finiteness re-check: unstack splits op outputs, which _make has checked
+    return [_record(row, (t,), row_backward(i), "unstack") for i, row in enumerate(t.data)]
 
 
 def _unary(t, fn, dfn, op):
@@ -476,34 +495,6 @@ def conv2d(x, w, b) -> Tensor:
         _accum(x, dxp[ph : ph + h, pw : pw + wd, :])
 
     return _make(data, (x, w, b), backward, "conv2d")
-
-
-OPS: dict[str, Callable] = {
-    "add": add,
-    "sub": sub,
-    "mul": mul,
-    "div": div,
-    "matmul": matmul,
-    "concat": concat,
-    "gather": gather,
-    "relu": relu,
-    "tanh": tanh,
-    "sigmoid": sigmoid,
-    "exp": exp,
-    "log": log,
-    "square": square,
-    "sqrt": sqrt,
-    "reduce_sum": reduce_sum,
-    "reduce_max_over_set": reduce_max_over_set,
-    "softmax": softmax,
-    "logsumexp": logsumexp,
-}
-
-
-def forward_op(op: str, *inputs, **kwargs) -> Tensor:
-    if op not in OPS:
-        raise DiffError(f"unknown op '{op}'")
-    return OPS[op](*inputs, **kwargs)
 
 
 def grad_check(f: Callable[[Tensor], Tensor], x: np.ndarray, h: float = 1e-4) -> float:

@@ -91,7 +91,3 @@ def rotate(theta: float, pts: np.ndarray) -> np.ndarray:
     rot = np.array([[c, -s], [s, c]])
     return pts @ rot.T
 
-
-def transform_pose(g: Pose2, p: Pose2) -> Pose2:
-    """Apply the global rigid transform g to a pose (same as compose(g, p))."""
-    return compose(g, p)

@@ -25,15 +25,6 @@ LOG_SIGMA_MAX = 4.0
 LOG_2PI = math.log(2.0 * math.pi)
 
 
-def clamp_cov_params(cov) -> Tensor:
-    """Clamp log-sigmas to [-6, 4]; rho_raw passes through."""
-    cov = as_tensor(cov)
-    flat = dc.reshape(cov, (-1, 3))
-    ls = dc.clamp(dc.slice_cols(flat, 0, 2), LOG_SIGMA_MIN, LOG_SIGMA_MAX)
-    rho = dc.slice_cols(flat, 2, 3)
-    return dc.reshape(dc.concat([ls, rho], axis=1), cov.data.shape)
-
-
 @dataclass
 class Trajectory:
     """A (possibly partially observed) 2-D trajectory."""

@@ -45,15 +45,6 @@ class LossBreakdown:
     kl_term: Tensor
     active_lambda: int = 1
 
-    def as_floats(self) -> dict:
-        return {
-            "total": float(self.total.data),
-            "nll_term": float(self.nll_term.data),
-            "ce_term": float(self.ce_term.data),
-            "kl_term": float(self.kl_term.data),
-            "active_lambda": self.active_lambda,
-        }
-
 
 def _zero() -> Tensor:
     return Tensor(0.0)

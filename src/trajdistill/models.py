@@ -11,7 +11,11 @@ scene.
 The student rasterizes the scene once into a pillar grid, runs a small
 convolutional backbone, and decodes each agent from a feature patch cropped
 at the agent's cell. Scene encoding cost is independent of the number of
-agents; per-agent work is only the patch decode.
+agents; per-agent work is only the patch decode. ``student_decode`` is the
+one decode path: a single batched pass for any number of agents, on the
+tape when one is active, that leaves out agents outside the grid extent.
+Training and evaluation skip such agents; ``student_predict`` and
+``student_decode_agent`` raise ``OutOfExtentError`` for them.
 """
 
 from __future__ import annotations
@@ -215,51 +219,42 @@ def _lstm_last(params: ModelParams, prefix: str, xs: np.ndarray) -> Tensor:
     return h
 
 
-def _decode_gmm(
-    raw: Tensor,
-    k: int,
-    horizon: int,
-    anchor: Pose2 | None,
-    cv_anchor: np.ndarray | None = None,
-    log_sigma_floor: float = -1.0,
-) -> gm.TrajectoryGMM:
-    """Split a (1, K*(T*5+1)) decoder output into a TrajectoryGMM.
+def _gmm_head(raw: Tensor, k: int, horizon: int, log_sigma_floor: float) -> tuple[Tensor, Tensor, Tensor]:
+    """Split (n, K*(T*5+1)) decoder rows into mixture parameters.
 
-    With ``cv_anchor`` (T, 2), the decoded means are residuals on a
-    constant-velocity rollout, which conditions training far better than
-    predicting absolute displacements from scratch.
+    Returns the mean offsets (n*K*T, 2), the covariance parameters
+    (n*K*T, 3) and the mode logits (n, K); rows run agent-major, then mode,
+    then step.
     """
-    body = dc.slice_cols(raw, 0, k * horizon * 5)
-    logits = dc.reshape(dc.slice_cols(raw, k * horizon * 5, k * horizon * 5 + k), (k,))
-    body = dc.reshape(body, (k, horizon, 5))
-    flat = dc.reshape(body, (k * horizon, 5))
-    means = dc.reshape(dc.slice_cols(flat, 0, 2), (k, horizon, 2))
-    if cv_anchor is not None:
-        means = means + Tensor(np.tile(cv_anchor, (k, 1, 1)))
+    body = k * horizon * 5
+    flat = dc.reshape(dc.slice_cols(raw, 0, body), (-1, 5))
     # the decode head keeps sigma away from the global clamp's lower bound:
     # fully collapsed sigmas turn the likelihood terms of well-fit steps into
     # high-magnitude noise on the shared weights, which stalls training
-    log_sig = dc.clamp(dc.slice_cols(flat, 2, 4), log_sigma_floor, 4.0)
-    rho_raw = dc.slice_cols(flat, 4, 5)
-    covs = gm.clamp_cov_params(dc.reshape(dc.concat([log_sig, rho_raw], axis=1), (k, horizon, 3)))
-    return gm.TrajectoryGMM(means=means, cov_params=covs, logits=logits, anchor=anchor)
+    log_sig = dc.clamp(
+        dc.slice_cols(flat, 2, 4), max(log_sigma_floor, gm.LOG_SIGMA_MIN), gm.LOG_SIGMA_MAX
+    )
+    covs = dc.concat([log_sig, dc.slice_cols(flat, 4, 5)], axis=1)
+    return dc.slice_cols(flat, 0, 2), covs, dc.slice_cols(raw, body, body + k)
 
 
-def _cv_rollout(scene: Scene, agent_id: str, anchor: Pose2, horizon: int, dt: float) -> np.ndarray:
-    agent = scene.agent_by_id(agent_id)
-    v = world_to_agent(Pose2(0.0, 0.0, anchor.heading), agent.history[-1, 3:5])
+def _cv_rollout(v_agent: np.ndarray, horizon: int, dt: float) -> np.ndarray:
+    """Constant-velocity positions (n, T, 2) from agent-frame velocities (n, 2).
+
+    The decoded means are residuals on this rollout, which conditions
+    training far better than predicting absolute displacements from scratch.
+    """
     t = (np.arange(horizon) + 1.0) * dt
-    return np.outer(t, v)
+    return t[None, :, None] * v_agent[:, None, :]
 
 
 # ---------------------------------------------------------------------------
 # teacher
 
 
-def _agent_anchor(scene: Scene, agent_id: str) -> Pose2:
-    agent = scene.agent_by_id(agent_id)
+def _agent_anchor(agent) -> Pose2:
     if not agent.history[-1, 5]:
-        raise ValueError(f"agent {agent_id}: no valid current state")
+        raise ValueError(f"agent {agent.id}: no valid current state")
     x, y, heading = agent.current_pose()
     return Pose2(x, y, heading)
 
@@ -293,8 +288,8 @@ def _resample_polyline(points: np.ndarray, n: int) -> np.ndarray:
 def teacher_forward(scene: Scene, agent_id: str, params: ModelParams) -> gm.TrajectoryGMM:
     """Predict a TrajectoryGMM for one agent, everything in the agent's frame."""
     cfg: TeacherConfig = params.config
-    anchor = _agent_anchor(scene, agent_id)
     agent = scene.agent_by_id(agent_id)
+    anchor = _agent_anchor(agent)
     bufs = params.buffers
     h = cfg.hidden
 
@@ -359,10 +354,15 @@ def teacher_forward(scene: Scene, agent_id: str, params: ModelParams) -> gm.Traj
 
     emb = dc.concat([road_emb, signal_emb, history_emb, neighbor_emb], axis=1)
     raw = _mlp(params, "decoder", emb, 3)
-    cv = _cv_rollout(scene, agent_id, anchor, cfg.horizon, cfg.future_dt)
-    return _decode_gmm(
-        raw, cfg.num_modes, cfg.horizon, anchor, cv_anchor=cv,
-        log_sigma_floor=cfg.log_sigma_floor,
+    k, t = cfg.num_modes, cfg.horizon
+    means, covs, logits = _gmm_head(raw, k, t, cfg.log_sigma_floor)
+    v = world_to_agent(Pose2(0.0, 0.0, anchor.heading), agent.history[-1, 3:5])
+    cv = _cv_rollout(v, t, cfg.future_dt)
+    return gm.TrajectoryGMM(
+        means=dc.reshape(means, (k, t, 2)) + Tensor(np.tile(cv, (k, 1, 1))),
+        cov_params=dc.reshape(covs, (k, t, 3)),
+        logits=dc.reshape(logits, (k,)),
+        anchor=anchor,
     )
 
 
@@ -470,120 +470,95 @@ def student_forward_scene(scene: Scene, params: ModelParams) -> SceneEncoding:
     return SceneEncoding(grid=grid, scene_id=scene.scene_id)
 
 
-def _patch_indices(cfg: StudentConfig, anchor: Pose2, agent_id: str) -> np.ndarray:
-    """Flat grid indices of the patch centered on the agent's cell."""
-    half_w = cfg.grid_w * cfg.cell_size / 2.0
-    half_h = cfg.grid_h * cfg.cell_size / 2.0
-    ix = int(math.floor((anchor.x + half_w) / cfg.cell_size))
-    iy = int(math.floor((anchor.y + half_h) / cfg.cell_size))
-    if not (0 <= ix < cfg.grid_w and 0 <= iy < cfg.grid_h):
-        raise OutOfExtentError(
-            f"agent {agent_id} at ({anchor.x:.1f}, {anchor.y:.1f}) outside grid extent"
-        )
-    p = cfg.patch
-    xs = np.clip(np.arange(ix - (p // 2), ix - (p // 2) + p), 0, cfg.grid_w - 1)
-    ys = np.clip(np.arange(iy - (p // 2), iy - (p // 2) + p), 0, cfg.grid_h - 1)
-    return (ys[:, None] * cfg.grid_w + xs[None, :]).ravel()
+def _patch_indices(cfg: StudentConfig, xy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Flat grid indices (n, patch**2) of the patches centered on the cells
+    of positions ``xy`` (n, 2), and a mask of the positions inside the grid
+    extent."""
+    size = np.array([cfg.grid_w, cfg.grid_h])
+    cell = np.floor((xy + size * cfg.cell_size / 2.0) / cfg.cell_size).astype(int)
+    inside = np.all((cell >= 0) & (cell < size), axis=1)
+    offsets = np.arange(cfg.patch) - cfg.patch // 2
+    xs = np.clip(cell[:, :1] + offsets, 0, cfg.grid_w - 1)
+    ys = np.clip(cell[:, 1:] + offsets, 0, cfg.grid_h - 1)
+    return (ys[:, :, None] * cfg.grid_w + xs[:, None, :]).reshape(len(xy), -1), inside
 
 
-def _decode_extra(agent, anchor: Pose2) -> list[float]:
-    speed = float(np.linalg.norm(agent.history[-1, 3:5]))
-    return [math.cos(anchor.heading), math.sin(anchor.heading), speed / 10.0]
+def student_decode(
+    encoding: SceneEncoding, scene: Scene, agent_ids: list[str], params: ModelParams
+) -> dict[str, gm.TrajectoryGMM]:
+    """Decode agent-frame GMMs for many agents in one batched pass.
 
-
-def _finish_decode(
-    raw: Tensor, cfg: StudentConfig, scene: Scene, agent_id: str, anchor: Pose2
-) -> gm.TrajectoryGMM:
-    """Turn one decoder output row into an agent-frame GMM.
-
-    Decoded offsets are scene-frame displacements from the agent position;
-    they are rotated by -heading and added to the constant-velocity rollout.
+    One patch gather, one decoder MLP and one GMM head serve every agent,
+    recorded on the active tape if there is one. Agents outside the grid
+    extent are left out of the result. Decoded mean offsets are scene-frame
+    displacements from the agent position; they are rotated by -heading and
+    added to the constant-velocity rollout.
     """
-    out = _decode_gmm(
-        raw, cfg.num_modes, cfg.horizon, anchor, log_sigma_floor=cfg.log_sigma_floor
+    cfg: StudentConfig = params.config
+    agents = [scene.agent_by_id(aid) for aid in agent_ids]
+    anchors = [_agent_anchor(a) for a in agents]
+    cells, inside = _patch_indices(cfg, np.array([[a.x, a.y] for a in anchors]).reshape(-1, 2))
+    keep = np.flatnonzero(inside)
+    if keep.size == 0:
+        return {}
+    ids = [agent_ids[i] for i in keep]
+    anchors = [anchors[i] for i in keep]
+    vels = np.array([agents[i].history[-1, 3:5] for i in keep])
+    headings = np.array([a.heading for a in anchors])
+    cs, sn = np.cos(headings)[:, None], np.sin(headings)[:, None]
+    extras = np.hstack([cs, sn, np.linalg.norm(vels, axis=1, keepdims=True) / 10.0])
+    n, k, t, p = len(ids), cfg.num_modes, cfg.horizon, cfg.patch
+    c = encoding.grid.data.shape[-1]
+    flat = dc.reshape(encoding.grid, (cfg.grid_h * cfg.grid_w, c))
+    patches = dc.reshape(dc.gather(flat, cells[keep].ravel(), axis=0), (n, p * p * c))
+    raw = _mlp(params, "decoder", dc.concat([patches, Tensor(extras)], axis=1), 3)
+    means, covs, logits = _gmm_head(raw, k, t, cfg.log_sigma_floor)
+
+    # rotation by -heading of row vectors: (x, y) -> (x c + y s, y c - x s)
+    rot_c, rot_s = np.hstack([cs, cs]), np.hstack([sn, -sn])
+    cv = _cv_rollout(vels * rot_c + vels[:, ::-1] * rot_s, t, cfg.future_dt)
+    swapped = dc.matmul(means, Tensor(np.array([[0.0, 1.0], [1.0, 0.0]])))
+    means = (
+        means * Tensor(np.repeat(rot_c, k * t, axis=0))
+        + swapped * Tensor(np.repeat(rot_s, k * t, axis=0))
+        + Tensor(np.broadcast_to(cv[:, None], (n, k, t, 2)).reshape(n * k * t, 2))
     )
-    cos_h, sin_h = math.cos(anchor.heading), math.sin(anchor.heading)
-    rot = np.array([[cos_h, -sin_h], [sin_h, cos_h]])  # transpose applied below
-    means_flat = dc.reshape(out.means, (cfg.num_modes * cfg.horizon, 2))
-    means_agent = dc.matmul(means_flat, rot)  # == (R(-h) @ m^T)^T
-    cv = _cv_rollout(scene, agent_id, anchor, cfg.horizon, cfg.future_dt)
-    out.means = dc.reshape(means_agent, (cfg.num_modes, cfg.horizon, 2)) + Tensor(
-        np.tile(cv, (cfg.num_modes, 1, 1))
+    per_agent = zip(
+        ids, anchors,
+        dc.unstack(dc.reshape(means, (n, k, t, 2))),
+        dc.unstack(dc.reshape(covs, (n, k, t, 3))),
+        dc.unstack(logits),
     )
-    return out
+    return {
+        aid: gm.TrajectoryGMM(means=m, cov_params=cov, logits=lg, anchor=a)
+        for aid, a, m, cov, lg in per_agent
+    }
+
+
+def _require_decoded(decoded: dict, agent_ids: list[str]) -> None:
+    missing = [aid for aid in agent_ids if aid not in decoded]
+    if missing:
+        raise OutOfExtentError(f"agents {missing} outside the grid extent")
 
 
 def student_decode_agent(
     encoding: SceneEncoding, scene: Scene, agent_id: str, params: ModelParams
 ) -> gm.TrajectoryGMM:
-    """Crop a patch at the agent's cell and decode an agent-frame GMM."""
-    cfg: StudentConfig = params.config
-    anchor = _agent_anchor(scene, agent_id)
-    agent = scene.agent_by_id(agent_id)
-    flat_idx = _patch_indices(cfg, anchor, agent_id)
-    p = cfg.patch
-    c = encoding.grid.data.shape[-1]
-    flat = dc.reshape(encoding.grid, (cfg.grid_h * cfg.grid_w, c))
-    patch = dc.reshape(dc.gather(flat, flat_idx, axis=0), (1, p * p * c))
-    extra = np.array([_decode_extra(agent, anchor)])
-    raw = _mlp(params, "decoder", dc.concat([patch, Tensor(extra)], axis=1), 3)
-    return _finish_decode(raw, cfg, scene, agent_id, anchor)
+    """Decode one agent; raises OutOfExtentError when it is off the grid."""
+    out = student_decode(encoding, scene, [agent_id], params)
+    _require_decoded(out, [agent_id])
+    return out[agent_id]
 
 
 def student_predict(scene: Scene, agent_ids: list[str], params: ModelParams) -> dict[str, gm.TrajectoryGMM]:
-    """Encode once, then decode all requested agents in one batched pass.
+    """Encode once, decode every agent in one batched pass, detach.
 
-    The patch gathers and the decoder MLP run as single batched ops so that
-    per-agent inference cost stays close to its flop count.
+    Raises OutOfExtentError when any requested agent is off the grid.
     """
     enc = student_forward_scene(scene, params)
-    if not agent_ids:
-        return {}
-    cfg: StudentConfig = params.config
-    anchors, idx_rows, extras, vels = [], [], [], []
-    for aid in agent_ids:
-        agent = scene.agent_by_id(aid)
-        if not agent.history[-1, 5]:
-            raise ValueError(f"agent {aid}: no valid current state")
-        x, y, heading = agent.current_pose()
-        anchor = Pose2(x, y, heading)
-        anchors.append(anchor)
-        idx_rows.append(_patch_indices(cfg, anchor, aid))
-        extras.append(_decode_extra(agent, anchor))
-        vels.append(agent.history[-1, 3:5])
-    n = len(agent_ids)
-    p = cfg.patch
-    c = enc.grid.data.shape[-1]
-    flat = dc.reshape(enc.grid, (cfg.grid_h * cfg.grid_w, c))
-    patches = dc.reshape(
-        dc.gather(flat, np.concatenate(idx_rows), axis=0), (n, p * p * c)
-    )
-    raw = _mlp(params, "decoder", dc.concat([patches, Tensor(np.array(extras))], axis=1), 3)
-
-    # inference needs no gradients: assemble the GMMs in plain numpy, exactly
-    # mirroring _finish_decode / _decode_gmm
-    k, t = cfg.num_modes, cfg.horizon
-    data = raw.data
-    body = data[:, : k * t * 5].reshape(n, k, t, 5)
-    logits = data[:, k * t * 5 : k * t * 5 + k]
-    log_sig = np.clip(body[..., 2:4], max(cfg.log_sigma_floor, -6.0), 4.0)
-    covs = np.concatenate([log_sig, body[..., 4:5]], axis=-1)
-    headings = np.array([a.heading for a in anchors])
-    cos_h, sin_h = np.cos(headings), np.sin(headings)
-    rots = np.stack(
-        [np.stack([cos_h, -sin_h], -1), np.stack([sin_h, cos_h], -1)], axis=-2
-    )  # (n, 2, 2); row-vector right-multiply == rotation by -heading
-    means = np.einsum("nmj,njl->nml", body[..., :2].reshape(n, k * t, 2), rots)
-    v_agent = np.einsum("nj,njl->nl", np.array(vels), rots)
-    times = (np.arange(t) + 1.0) * cfg.future_dt
-    cv = times[None, :, None] * v_agent[:, None, :]  # (n, t, 2)
-    means = means.reshape(n, k, t, 2) + cv[:, None, :, :]
-    out = {}
-    for i, aid in enumerate(agent_ids):
-        out[aid] = gm.TrajectoryGMM(
-            means=means[i], cov_params=covs[i], logits=logits[i].copy(), anchor=anchors[i]
-        )
-    return out
+    out = student_decode(enc, scene, agent_ids, params)
+    _require_decoded(out, agent_ids)
+    return {aid: pred.detach() for aid, pred in out.items()}
 
 
 # ---------------------------------------------------------------------------

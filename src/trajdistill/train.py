@@ -312,25 +312,19 @@ def distill_student(
         _zero_grads(params)
         with dc.Tape() as tape:
             enc = md.student_forward_scene(scene, params)
+            preds = md.student_decode(enc, scene, [a.id for a in targets], params)
+            if not preds:
+                continue
             total = Tensor(0.0)
             nll = ce = kl = 0.0
-            used = 0
-            for agent in targets:
-                try:
-                    pred = md.student_decode_agent(enc, scene, agent.id, params)
-                except md.OutOfExtentError:
-                    continue
-                tpred = frozen.predict(scene, agent.id) if frozen else None
-                lb = _student_agent_loss(
-                    pred, tpred, agent_frame_gt(scene, agent.id), cfg, lam, sample_rng
-                )
+            for aid, pred in preds.items():
+                tpred = frozen.predict(scene, aid) if frozen else None
+                lb = _student_agent_loss(pred, tpred, agent_frame_gt(scene, aid), cfg, lam, sample_rng)
                 total = total + lb.total
                 nll += float(lb.nll_term.data)
                 ce += float(lb.ce_term.data)
                 kl += float(lb.kl_term.data)
-                used += 1
-            if used == 0:
-                continue
+            used = len(preds)
             total = total * (1.0 / used)
             tape.backward(total)
         grads = _collect_grads(params)
@@ -357,20 +351,16 @@ def predict_dataset(
     preds: list[gm.TrajectoryGMM] = []
     gts: list[gm.Trajectory] = []
     for scene in scenes:
-        targets = [a for a in scene.prediction_targets() if a.future is not None]
-        if not targets:
+        ids = [a.id for a in scene.prediction_targets() if a.future is not None]
+        if not ids:
             continue
-        enc = md.student_forward_scene(scene, params) if params.kind == "student" else None
-        for agent in targets:
-            try:
-                if params.kind == "teacher":
-                    pred = md.teacher_forward(scene, agent.id, params)
-                else:
-                    pred = md.student_decode_agent(enc, scene, agent.id, params)
-            except md.OutOfExtentError:
-                continue
+        if params.kind == "teacher":
+            out = {aid: md.teacher_forward(scene, aid, params) for aid in ids}
+        else:
+            out = md.student_decode(md.student_forward_scene(scene, params), scene, ids, params)
+        for aid, pred in out.items():
             preds.append(pred.detach())
-            gts.append(agent_frame_gt(scene, agent.id))
+            gts.append(agent_frame_gt(scene, aid))
     return preds, gts
 
 
@@ -411,6 +401,8 @@ def save_checkpoint(params: md.ModelParams, prefix: str) -> tuple[str, str]:
 
 
 def load_checkpoint(prefix: str) -> md.ModelParams:
+    """Read a checkpoint; every malformed manifest or weights file raises
+    CheckpointError (an unreadable manifest chains the OSError behind it)."""
     man_path = prefix + ".manifest.json"
     bin_path = prefix + ".weights.bin"
     try:
@@ -418,42 +410,52 @@ def load_checkpoint(prefix: str) -> md.ModelParams:
             manifest = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise CheckpointError(f"unreadable manifest {man_path}: {exc}") from exc
+    if not isinstance(manifest, dict):
+        raise CheckpointError(f"manifest {man_path} is not a JSON object")
     if manifest.get("schema_version") != CHECKPOINT_SCHEMA_VERSION:
         raise CheckpointError(
             f"unsupported checkpoint schema_version: {manifest.get('schema_version')!r}"
         )
     kind = manifest.get("kind")
-    cfg_dict = dict(manifest.get("config", {}))
-    if kind == "teacher":
-        config = md.TeacherConfig(**cfg_dict)
-    elif kind == "student":
-        if "conv_channels" in cfg_dict:
-            cfg_dict["conv_channels"] = tuple(cfg_dict["conv_channels"])
-        config = md.StudentConfig(**cfg_dict)
-    else:
+    if kind not in ("teacher", "student"):
         raise CheckpointError(f"unknown model kind in manifest: {kind!r}")
+    cfg_dict = manifest.get("config", {})
+    if not isinstance(cfg_dict, dict):
+        raise CheckpointError("manifest config is not a JSON object")
+    try:
+        if kind == "teacher":
+            config = md.TeacherConfig(**cfg_dict)
+        else:
+            if "conv_channels" in cfg_dict:
+                cfg_dict["conv_channels"] = tuple(cfg_dict["conv_channels"])
+            config = md.StudentConfig(**cfg_dict)
+    except (TypeError, ValueError) as exc:
+        raise CheckpointError(f"invalid {kind} config in manifest: {exc}") from exc
+    try:
+        entries = [(str(entry["name"]), tuple(entry["shape"])) for entry in manifest["tensors"]]
+    except (TypeError, KeyError) as exc:
+        raise CheckpointError(f"manifest has no valid tensor list: {exc!r}") from exc
+    expected = dict(md._teacher_shapes(config) if kind == "teacher" else md._student_shapes(config))
+    if dict(entries) != expected or len(entries) != len(expected):
+        raise CheckpointError("manifest tensors do not match the model architecture")
 
     with open(bin_path, "rb") as fh:
         blob = fh.read()
     buffers: dict[str, Tensor] = {}
     offset = 0
-    for entry in manifest["tensors"]:
-        shape = tuple(entry["shape"])
-        n = int(np.prod(shape)) if shape else 1
+    for name, shape in entries:
+        n = int(np.prod(shape))
         nbytes = n * 4
         if offset + nbytes > len(blob):
             raise CheckpointError(
-                f"weights file truncated at tensor {entry['name']!r}: "
+                f"weights file truncated at tensor {name!r}: "
                 f"need {offset + nbytes} bytes, have {len(blob)}"
             )
         arr = np.frombuffer(blob, dtype="<f4", count=n, offset=offset).astype(np.float64)
-        buffers[entry["name"]] = Tensor(arr.reshape(shape))
+        buffers[name] = Tensor(arr.reshape(shape))
         offset += nbytes
     if offset != len(blob):
         raise CheckpointError(
             f"weights file has {len(blob) - offset} trailing bytes beyond the manifest"
         )
-    expected = {name for name, _ in (md._teacher_shapes(config) if kind == "teacher" else md._student_shapes(config))}
-    if set(buffers) != expected:
-        raise CheckpointError("manifest tensor names do not match the model architecture")
     return md.ModelParams(kind=kind, config=config, buffers=buffers)

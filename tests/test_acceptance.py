@@ -203,8 +203,9 @@ def test_criterion_3_loss_and_op_gradients():
             pooled = dc.scatter_max_pool(sm, np.array([0, 1, 0]), 2)
             img = dc.reshape(dc.concat([h, h, h], axis=0), (3, 3, 4))
             conv = dc.conv2d(img, Tensor(kern), Tensor(np.zeros(2)))
+            row = dc.unstack(g)[1]
             return (dc.reduce_sum(dc.square(conv)) + dc.reduce_sum(w) + s
-                    + dc.reduce_sum(pooled))
+                    + dc.reduce_sum(pooled) + dc.reduce_sum(dc.square(row)))
 
         assert dc.grad_check(f_all, x0) <= 1e-4
     elapsed = time.time() - t0

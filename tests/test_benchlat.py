@@ -98,3 +98,16 @@ def test_render_svg_self_contained(tmp_path):
     assert text.startswith("<svg")
     assert "polyline" in text
     assert "http" not in text.replace("http://www.w3.org/2000/svg", "")  # no external refs
+
+
+def test_run_bench_student_with_off_grid_agents():
+    """Agents off the student grid are skipped, not an error."""
+    cfg = md.StudentConfig(grid_h=16, grid_w=16, cell_size=4.0, pillar_embed=8, conv_channels=(8,), hidden=16)
+    params = md.init_params(cfg, np.random.default_rng(0))
+    scene = bl.bench_scene(8, 4, np.random.default_rng(0 + 1000 * 8 + 4))  # run_bench's scene
+    ids = [a.id for a in scene.agents]
+    decoded = md.student_decode(md.student_forward_scene(scene, params), scene, ids, params)
+    assert 0 < len(decoded) < len(ids)
+    points = bl.run_bench("student", params, [(8, 4)], warmup=1, reps=5)
+    assert len(points) == 1
+    assert 0 < points[0].p10_s <= points[0].median_s <= points[0].p90_s

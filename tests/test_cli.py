@@ -3,6 +3,7 @@ determinism of artifacts, config validation."""
 
 import csv
 import json
+import shutil
 
 import pytest
 
@@ -82,6 +83,8 @@ def test_missing_input_exit_3(tmp_path):
     )
     cfg = tmp_path / "missing.json"
     assert run(["gen", "--out", str(tmp_path / "d.jsonl"), "--config", str(cfg)]) == 3
+    assert run(["eval", "--data", str(tmp_path / "nope.jsonl"), "--ckpt", str(tmp_path / "nothing"),
+                "--out", str(tmp_path / "m.csv")]) == 3
 
 
 def test_semantic_error_exit_4(tmp_path, data, teacher_ckpt):
@@ -91,6 +94,26 @@ def test_semantic_error_exit_4(tmp_path, data, teacher_ckpt):
          "--steps", "1", "--method", "set", "--k", "3"]
     )
     assert code == 4
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        lambda m: m["config"].update(warp_factor=9),
+        lambda m: m.pop("tensors"),
+        lambda m: m.update(config=[1, 2]),
+    ],
+    ids=["extra_config_key", "no_tensors", "config_not_object"],
+)
+def test_malformed_checkpoint_exit_4(tmp_path, data, teacher_ckpt, mutate):
+    prefix = str(tmp_path / "ck")
+    shutil.copy(teacher_ckpt + ".weights.bin", prefix + ".weights.bin")
+    with open(teacher_ckpt + ".manifest.json") as fh:
+        manifest = json.load(fh)
+    mutate(manifest)
+    with open(prefix + ".manifest.json", "w") as fh:
+        json.dump(manifest, fh)
+    assert run(["eval", "--data", data, "--ckpt", prefix, "--out", str(tmp_path / "m.csv")]) == 4
 
 
 def test_corrupt_dataset_exit_4(tmp_path):

@@ -240,6 +240,108 @@ def test_student_predict_matches_per_agent_decode():
         assert np.allclose(batched[aid].logits, single.logits.data, atol=1e-12)
 
 
+def _student_decode_oracle(grid, scene, agent_ids, params):
+    """The student decode in plain numpy: patch crop, decoder MLP and GMM
+    head, the head rotated into each agent's frame on a constant-velocity
+    rollout."""
+    cfg = params.config
+    w = {name: t.data for name, t in params.buffers.items()}
+    k, t, p = cfg.num_modes, cfg.horizon, cfg.patch
+    rows, headings, vels = [], [], []
+    for aid in agent_ids:
+        agent = scene.agent_by_id(aid)
+        x, y, heading = agent.current_pose()
+        ix = math.floor((x + cfg.grid_w * cfg.cell_size / 2.0) / cfg.cell_size)
+        iy = math.floor((y + cfg.grid_h * cfg.cell_size / 2.0) / cfg.cell_size)
+        xs = np.clip(np.arange(ix - p // 2, ix - p // 2 + p), 0, cfg.grid_w - 1)
+        ys = np.clip(np.arange(iy - p // 2, iy - p // 2 + p), 0, cfg.grid_h - 1)
+        vel = agent.history[-1, 3:5]
+        extra = [math.cos(heading), math.sin(heading), float(np.linalg.norm(vel)) / 10.0]
+        rows.append(np.concatenate([grid[np.ix_(ys, xs)].ravel(), extra]))
+        headings.append(heading)
+        vels.append(vel)
+    h = np.array(rows)
+    for i in range(3):
+        h = h @ w[f"decoder.w{i}"] + w[f"decoder.b{i}"]
+        if i < 2:
+            h = np.maximum(h, 0.0)
+    n = len(agent_ids)
+    body = h[:, : k * t * 5].reshape(n, k, t, 5)
+    logits = h[:, k * t * 5 : k * t * 5 + k]
+    log_sig = np.clip(body[..., 2:4], max(cfg.log_sigma_floor, gm.LOG_SIGMA_MIN), gm.LOG_SIGMA_MAX)
+    covs = np.concatenate([log_sig, body[..., 4:5]], axis=-1)
+    cos_h, sin_h = np.cos(headings), np.sin(headings)
+    rots = np.stack(
+        [np.stack([cos_h, -sin_h], -1), np.stack([sin_h, cos_h], -1)], axis=-2
+    )  # (n, 2, 2); row-vector right-multiply == rotation by -heading
+    means = np.einsum("nmj,njl->nml", body[..., :2].reshape(n, k * t, 2), rots)
+    v_agent = np.einsum("nj,njl->nl", np.array(vels), rots)
+    times = (np.arange(t) + 1.0) * cfg.future_dt
+    cv = times[None, :, None] * v_agent[:, None, :]  # (n, t, 2)
+    means = means.reshape(n, k, t, 2) + cv[:, None, :, :]
+    return {aid: (means[i], covs[i], logits[i]) for i, aid in enumerate(agent_ids)}
+
+
+def test_student_predict_matches_numpy_oracle():
+    params = md.init_params(md.StudentConfig(), np.random.default_rng(3))
+    for seed in (1, 8):
+        scene = _scene(seed)
+        ids = [a.id for a in scene.agents]
+        preds = md.student_predict(scene, ids, params)
+        grid = md.student_forward_scene(scene, params).grid.data
+        for aid, (means, covs, logits) in _student_decode_oracle(grid, scene, ids, params).items():
+            assert np.abs(preds[aid].means - means).max() <= 1e-12
+            assert np.abs(preds[aid].cov_params - covs).max() <= 1e-12
+            assert np.abs(preds[aid].logits - logits).max() <= 1e-12
+
+
+def _student_grads(scene, params, groups):
+    """Parameter gradients of the summed base loss, decoding ``groups`` of
+    agents with one call each."""
+    for t in params.buffers.values():
+        t.grad = None
+    with dc.Tape() as tape:
+        enc = md.student_forward_scene(scene, params)
+        total = dc.Tensor(0.0)
+        for group in groups:
+            for aid, pred in md.student_decode(enc, scene, group, params).items():
+                agent = scene.agent_by_id(aid)
+                gt = gm.Trajectory(states=world_to_agent(Pose2(*agent.current_pose()), agent.future))
+                total = total + ls.base_loss(pred, gt).total
+        tape.backward(total)
+    return {name: t.grad.copy() for name, t in params.buffers.items()}
+
+
+def test_student_decode_batch_gradients_equal_single_decodes():
+    scene = _scene(8)
+    ids = [a.id for a in scene.prediction_targets()]
+    assert len(ids) >= 4
+    params = md.init_params(md.StudentConfig(grid_h=32, grid_w=32, cell_size=4.0), np.random.default_rng(0))
+    batched = _student_grads(scene, params, [ids])
+    single = _student_grads(scene, params, [[aid] for aid in ids])
+    for name, g in single.items():
+        assert np.abs(batched[name] - g).max() <= 1e-9 * np.abs(g).max(), name
+
+
+def test_student_decode_leaves_out_off_grid_agent():
+    scene = _scene(8)
+    params = md.init_params(md.StudentConfig(), np.random.default_rng(0))
+    enc = md.student_forward_scene(scene, params)
+    ids = [a.id for a in scene.agents]
+    off = ids[len(ids) // 2]
+    scene.agent_by_id(off).history[-1, 0] = 500.0
+    kept = [aid for aid in ids if aid != off]
+    with_off = md.student_decode(enc, scene, ids, params)
+    without = md.student_decode(enc, scene, kept, params)
+    assert list(with_off) == kept
+    for aid in kept:
+        for field in ("means", "cov_params", "logits"):
+            a, b = getattr(with_off[aid], field).data, getattr(without[aid], field).data
+            assert np.abs(a - b).max() <= 1e-12
+    with pytest.raises(md.OutOfExtentError):
+        md.student_predict(scene, ids, params)
+
+
 def test_student_grid_shift_equivariance():
     """Translating the scene by exactly one cell shifts interior grid features."""
     cfg = md.StudentConfig(grid_h=32, grid_w=32, cell_size=2.0, conv_channels=(16,), pillar_embed=16)
