@@ -4,9 +4,15 @@ Design notes:
   * A ``Tensor`` wraps a numpy array. Ops executed while a ``Tape`` is active
     append result nodes to the tape; ``Tape.backward`` walks the node list in
     reverse insertion order exactly once, so gradients are deterministic.
+  * ``no_tape()`` suspends recording inside an active tape: ops run in it
+    return untracked results, as they do with no tape at all.
   * Elementwise binary ops require identical shapes or a python/0-d scalar on
     one side; there is no general broadcasting. Row broadcasting, where a model
-    needs it, is expressed with an explicit ones-matmul.
+    needs it, is expressed with an explicit ones-matmul; the fused ``lstm``
+    broadcasts its (1, .) bias and initial-state rows itself.
+  * ``lstm`` runs a whole sequence as one node with a hand-written
+    backpropagation-through-time backward, in place of ~12 elementwise and
+    matmul nodes per timestep.
   * Every op checks its output for non-finite values and raises immediately,
     which keeps failures close to their cause during training. ``unstack``
     is the exception: its rows are parts of a tensor already checked.
@@ -14,6 +20,7 @@ Design notes:
 
 from __future__ import annotations
 
+import contextlib
 import numbers
 from typing import Callable, Iterable, Sequence
 
@@ -34,11 +41,21 @@ class NonFiniteError(DiffError):
     pass
 
 
-_TAPE_STACK: list["Tape"] = []
+_TAPE_STACK: list["Tape | None"] = []
 
 
 def active_tape() -> "Tape | None":
     return _TAPE_STACK[-1] if _TAPE_STACK else None
+
+
+@contextlib.contextmanager
+def no_tape():
+    """Run ops untracked, even inside an active ``Tape``."""
+    _TAPE_STACK.append(None)
+    try:
+        yield
+    finally:
+        _TAPE_STACK.pop()
 
 
 class Tape:
@@ -332,16 +349,15 @@ def tanh(t) -> Tensor:
     return _unary(t, np.tanh, lambda x, y: 1.0 - y * y, "tanh")
 
 
-def sigmoid(t) -> Tensor:
-    def fwd(x):
-        out = np.empty_like(x)
-        pos = x >= 0
-        out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-        ex = np.exp(x[~pos])
-        out[~pos] = ex / (1.0 + ex)
-        return out
+def _sigmoid(x: np.ndarray) -> np.ndarray:
+    # 1 / (1 + e^-x) for x >= 0 and e^x / (1 + e^x) below: exp of a
+    # non-positive argument only, so no overflow for any finite x
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
-    return _unary(t, fwd, lambda x, y: y * (1.0 - y), "sigmoid")
+
+def sigmoid(t) -> Tensor:
+    return _unary(t, _sigmoid, lambda x, y: y * (1.0 - y), "sigmoid")
 
 
 def exp(t) -> Tensor:
@@ -495,6 +511,77 @@ def conv2d(x, w, b) -> Tensor:
         _accum(x, dxp[ph : ph + h, pw : pw + wd, :])
 
     return _make(data, (x, w, b), backward, "conv2d")
+
+
+def lstm(xs, wx, wh, b, h0, c0) -> Tensor:
+    """Last hidden state (B, H) of an LSTM run over the sequence ``xs``.
+
+    xs: constant (B, L, F); wx: (F, 4H); wh: (H, 4H); b: (1, 4H); h0, c0:
+    (1, H), shared by every row. Gates run input, forget, cell, output:
+    z = x_t wx + h wh + b, c = f c + i g, h = o tanh(c). The sequence is one
+    node; its backward runs backpropagation through time and sums the
+    gradients of the shared rows. Non-finite pre-activations or cell states
+    raise like a non-finite output, since saturated gates can hide them.
+    """
+    wx, wh, b, h0, c0 = (as_tensor(p) for p in (wx, wh, b, h0, c0))
+    xs = np.asarray(xs, dtype=wx.data.dtype)
+    hd = wh.data.shape[0]
+    if (
+        xs.ndim != 3
+        or wx.data.shape != (xs.shape[2], 4 * hd)
+        or wh.data.shape != (hd, 4 * hd)
+        or b.data.shape != (1, 4 * hd)
+        or h0.data.shape != (1, hd)
+        or c0.data.shape != (1, hd)
+    ):
+        raise ShapeError(
+            f"op 'lstm': incompatible shapes xs {xs.shape}, wx {wx.data.shape}, wh {wh.data.shape}, "
+            f"b {b.data.shape}, h0 {h0.data.shape}, c0 {c0.data.shape}"
+        )
+    nb, steps, nf = xs.shape
+    xs_t = np.swapaxes(xs, 0, 1).reshape(steps * nb, nf)
+    # time-major records: pre-activations, activated gates (i, f, g, o), the
+    # hidden and cell state entering each step, and tanh of each new cell state
+    zs = (xs_t @ wx.data).reshape(steps, nb, 4 * hd)
+    gates = np.empty_like(zs)
+    hs = np.empty((steps + 1, nb, hd))
+    cs = np.empty((steps + 1, nb, hd))
+    tanh_c = np.empty((steps, nb, hd))
+    hs[0], cs[0] = h0.data, c0.data
+    for t in range(steps):
+        z, a = zs[t], gates[t]
+        z += hs[t] @ wh.data
+        z += b.data
+        a[:] = _sigmoid(z)
+        np.tanh(z[:, 2 * hd : 3 * hd], out=a[:, 2 * hd : 3 * hd])
+        np.multiply(a[:, hd : 2 * hd], cs[t], out=cs[t + 1])
+        cs[t + 1] += a[:, :hd] * a[:, 2 * hd : 3 * hd]
+        np.tanh(cs[t + 1], out=tanh_c[t])
+        np.multiply(a[:, 3 * hd :], tanh_c[t], out=hs[t + 1])
+    if not (np.all(np.isfinite(zs)) and np.all(np.isfinite(cs[-1]))):
+        raise NonFiniteError("op 'lstm' produced non-finite values")
+
+    def backward(g):
+        dz = np.empty((steps, nb, 4 * hd))
+        dh, dc = g, np.zeros((nb, hd))
+        for t in reversed(range(steps)):
+            a, d = gates[t], dz[t]
+            i, f, cell, o = a[:, :hd], a[:, hd : 2 * hd], a[:, 2 * hd : 3 * hd], a[:, 3 * hd :]
+            dc = dc + dh * o * (1.0 - tanh_c[t] * tanh_c[t])
+            d[:, :hd] = dc * cell * i * (1.0 - i)
+            d[:, hd : 2 * hd] = dc * cs[t] * f * (1.0 - f)
+            d[:, 2 * hd : 3 * hd] = dc * i * (1.0 - cell * cell)
+            d[:, 3 * hd :] = dh * tanh_c[t] * o * (1.0 - o)
+            dc = dc * f
+            dh = d @ wh.data.T
+        flat = dz.reshape(steps * nb, 4 * hd)
+        _accum(wx, xs_t.T @ flat)
+        _accum(wh, hs[:-1].reshape(steps * nb, hd).T @ flat)
+        _accum(b, flat.sum(axis=0, keepdims=True))
+        _accum(h0, dh.sum(axis=0, keepdims=True))
+        _accum(c0, dc.sum(axis=0, keepdims=True))
+
+    return _make(hs[-1], (wx, wh, b, h0, c0), backward, "lstm")
 
 
 def grad_check(f: Callable[[Tensor], Tensor], x: np.ndarray, h: float = 1e-4) -> float:

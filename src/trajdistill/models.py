@@ -6,7 +6,11 @@ and motion histories through small LSTMs, neighbor encodings max-pooled into
 one interaction vector, everything concatenated and decoded by an MLP into a
 Gaussian-mixture trajectory distribution. Because every input is expressed
 relative to the agent, the output is invariant to rigid transforms of the
-scene.
+scene. The inputs are featurized as arrays: one ``world_to_agent`` call over
+all selected polylines' resampled points, one over the signal positions, and
+``_track_features`` over the stacked histories of the agent and its
+neighbors, chosen by array distance tests. Each LSTM is one fused
+``diffcore.lstm`` node, so a forward records a few dozen tape nodes.
 
 The student rasterizes the scene once into a pillar grid, runs a small
 convolutional backbone, and decodes each agent from a feature patch cropped
@@ -201,22 +205,7 @@ def _mlp(params: ModelParams, prefix: str, x, n_layers: int, final_relu: bool = 
 
 def _lstm_last(params: ModelParams, prefix: str, xs: np.ndarray) -> Tensor:
     """Run an LSTM over xs (B, L, F); return the last hidden state (B, H)."""
-    bufs = params.buffers
-    b = xs.shape[0]
-    hidden = bufs[f"{prefix}.h0"].data.shape[1]
-    ones = _rows(b)
-    h = dc.matmul(ones, bufs[f"{prefix}.h0"])
-    c = dc.matmul(ones, bufs[f"{prefix}.c0"])
-    bias = dc.matmul(ones, bufs[f"{prefix}.b"])
-    for t in range(xs.shape[1]):
-        z = dc.matmul(xs[:, t, :], bufs[f"{prefix}.wx"]) + dc.matmul(h, bufs[f"{prefix}.wh"]) + bias
-        i = dc.sigmoid(dc.slice_cols(z, 0, hidden))
-        f = dc.sigmoid(dc.slice_cols(z, hidden, 2 * hidden))
-        g = dc.tanh(dc.slice_cols(z, 2 * hidden, 3 * hidden))
-        o = dc.sigmoid(dc.slice_cols(z, 3 * hidden, 4 * hidden))
-        c = f * c + i * g
-        h = o * dc.tanh(c)
-    return h
+    return dc.lstm(xs, *(params.buffers[f"{prefix}.{n}"] for n in ("wx", "wh", "b", "h0", "c0")))
 
 
 def _gmm_head(raw: Tensor, k: int, horizon: int, log_sigma_floor: float) -> tuple[Tensor, Tensor, Tensor]:
@@ -259,19 +248,19 @@ def _agent_anchor(agent) -> Pose2:
     return Pose2(x, y, heading)
 
 
-def _track_features(history: np.ndarray, anchor: Pose2) -> np.ndarray:
-    """History rows in the anchor frame: position, relative heading, velocity."""
-    out = np.zeros((history.shape[0], TRACK_STEP_FEATURES))
-    pos = world_to_agent(anchor, history[:, :2])
-    vel = world_to_agent(Pose2(0.0, 0.0, anchor.heading), history[:, 3:5])
-    out[:, :2] = pos
-    out[:, 2] = np.cos(history[:, 2] - anchor.heading)
-    out[:, 3] = np.sin(history[:, 2] - anchor.heading)
-    out[:, 4:6] = vel
-    out[:, 6] = history[:, 5]
+def _track_features(histories: np.ndarray, anchor: Pose2) -> np.ndarray:
+    """History rows (n, L, 6) in the anchor frame (n, L, 7): position,
+    relative heading, velocity, valid flag."""
+    n, steps = histories.shape[:2]
+    rows = histories.reshape(n * steps, -1)
+    out = np.zeros((n, steps, TRACK_STEP_FEATURES))
+    out[..., :2] = world_to_agent(anchor, rows[:, :2]).reshape(n, steps, 2)
+    out[..., 2] = np.cos(histories[..., 2] - anchor.heading)
+    out[..., 3] = np.sin(histories[..., 2] - anchor.heading)
+    out[..., 4:6] = world_to_agent(Pose2(0.0, 0.0, anchor.heading), rows[:, 3:5]).reshape(n, steps, 2)
+    out[..., 6] = histories[..., 5]
     # zero out invalid rows except the flag, so padding carries no position signal
-    invalid = history[:, 5] == 0.0
-    out[invalid, :6] = 0.0
+    out[histories[..., 5] == 0.0, :6] = 0.0
     return out
 
 
@@ -285,6 +274,36 @@ def _resample_polyline(points: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
+def _road_features(scene: Scene, anchor: Pose2, cfg: TeacherConfig) -> np.ndarray:
+    """Point features (m, P, F) of the ``max_polylines`` polylines nearest to
+    the anchor by closest-point distance, nearest first: resampled position
+    in the anchor frame, kind one-hot, speed limit / 10."""
+    n = cfg.points_per_polyline
+    if not scene.roadgraph:
+        return np.zeros((0, n, ROAD_POINT_FEATURES))
+    starts = np.cumsum([0] + [len(p.points) for p in scene.roadgraph[:-1]])
+    all_pts = np.concatenate([p.points for p in scene.roadgraph])
+    dists = np.minimum.reduceat(np.linalg.norm(all_pts - [anchor.x, anchor.y], axis=1), starts)
+    polys = [scene.roadgraph[i] for i in np.argsort(dists, kind="stable")[: cfg.max_polylines]]
+    m = len(polys)
+    resampled = np.concatenate([_resample_polyline(p.points, n) for p in polys])
+    feats = np.zeros((m, n, ROAD_POINT_FEATURES))
+    feats[..., :2] = world_to_agent(anchor, resampled).reshape(m, n, 2)
+    feats[np.arange(m), :, [2 + ROAD_KINDS.index(p.kind) for p in polys]] = 1.0
+    feats[..., -1] = np.array([p.speed_limit_mps for p in polys])[:, None] / 10.0
+    return feats
+
+
+def _signal_features(scene: Scene, anchor: Pose2) -> np.ndarray:
+    """Per-step signal features (s, L, F): position in the anchor frame, state one-hot."""
+    feats = np.zeros((len(scene.signals), scene.history_len, SIGNAL_STEP_FEATURES))
+    if scene.signals:
+        feats[..., :2] = world_to_agent(anchor, np.array([sig.position for sig in scene.signals]))[:, None]
+        states = [[SIGNAL_STATES.index(st) for st in sig.states] for sig in scene.signals]
+        feats[..., 2:] = np.eye(len(SIGNAL_STATES))[states]
+    return feats
+
+
 def teacher_forward(scene: Scene, agent_id: str, params: ModelParams) -> gm.TrajectoryGMM:
     """Predict a TrajectoryGMM for one agent, everything in the agent's frame."""
     cfg: TeacherConfig = params.config
@@ -293,71 +312,43 @@ def teacher_forward(scene: Scene, agent_id: str, params: ModelParams) -> gm.Traj
     bufs = params.buffers
     h = cfg.hidden
 
-    # road polylines: nearest max_polylines by closest-point distance
-    if scene.roadgraph:
-        dists = [
-            float(np.min(np.linalg.norm(p.points - [anchor.x, anchor.y], axis=1)))
-            for p in scene.roadgraph
-        ]
-        order = np.argsort(dists, kind="stable")[: cfg.max_polylines]
-    else:
-        order = []
-    if len(order) > 0:
-        per_poly = []
-        for idx in order:
-            poly = scene.roadgraph[idx]
-            pts = world_to_agent(anchor, _resample_polyline(poly.points, cfg.points_per_polyline))
-            feats = np.zeros((cfg.points_per_polyline, ROAD_POINT_FEATURES))
-            feats[:, :2] = pts
-            feats[:, 2 + ROAD_KINDS.index(poly.kind)] = 1.0
-            feats[:, -1] = poly.speed_limit_mps / 10.0
-            per_poly.append(feats)
-        road_pts = np.concatenate(per_poly, axis=0)
-        enc = _mlp(params, "road", Tensor(road_pts), 2, final_relu=True)
-        enc = dc.reshape(enc, (len(order), cfg.points_per_polyline, h))
-        per_poly_vec = dc.reduce_max_over_set(enc, axis=1)
+    # road polylines: shared point MLP, max-pooled over points, then polylines
+    road = _road_features(scene, anchor, cfg)
+    if len(road):
+        m, n = road.shape[:2]
+        enc = _mlp(params, "road", Tensor(road.reshape(m * n, -1)), 2, final_relu=True)
+        per_poly_vec = dc.reduce_max_over_set(dc.reshape(enc, (m, n, h)), axis=1)
         road_emb = dc.reshape(dc.reduce_max_over_set(per_poly_vec, axis=0), (1, h))
     else:
-        road_emb = dc.matmul(_rows(1), bufs["road.empty"])
+        road_emb = bufs["road.empty"]
 
     # traffic signals: shared LSTM over per-step (position, state one-hot)
     if scene.signals:
-        sig_feats = np.zeros((len(scene.signals), scene.history_len, SIGNAL_STEP_FEATURES))
-        for i, sig in enumerate(scene.signals):
-            pos = world_to_agent(anchor, sig.position)
-            sig_feats[i, :, :2] = pos
-            for t, state in enumerate(sig.states):
-                sig_feats[i, t, 2 + SIGNAL_STATES.index(state)] = 1.0
-        sig_h = _lstm_last(params, "signal", sig_feats)
+        sig_h = _lstm_last(params, "signal", _signal_features(scene, anchor))
         signal_emb = dc.reshape(dc.reduce_max_over_set(sig_h, axis=0), (1, h))
     else:
-        signal_emb = dc.matmul(_rows(1), bufs["signal.empty"])
+        signal_emb = bufs["signal.empty"]
 
-    # own motion history
-    hist_feats = _track_features(agent.history, anchor)[None]
-    history_emb = _lstm_last(params, "history", hist_feats)
-
-    # neighbors: nearest-first within radius, capped
-    others = [a for a in scene.agents if a.id != agent_id and a.history[-1, 5]]
-    dists = [float(np.linalg.norm(a.history[-1, :2] - [anchor.x, anchor.y])) for a in others]
-    keep = [
-        others[i]
-        for i in np.argsort(dists, kind="stable")
-        if dists[i] <= cfg.neighbor_radius
-    ][: cfg.max_neighbors]
-    if keep:
-        nb_feats = np.stack([_track_features(a.history, anchor) for a in keep])
-        nb_h = _lstm_last(params, "neighbor", nb_feats)
+    # own motion history, then neighbors: nearest-first within radius, capped
+    histories = np.stack([a.history for a in scene.agents])
+    others = np.flatnonzero(np.array([a.id != agent_id for a in scene.agents]) & (histories[:, -1, 5] != 0.0))
+    dists = np.linalg.norm(histories[others, -1, :2] - [anchor.x, anchor.y], axis=1)
+    order = np.argsort(dists, kind="stable")
+    keep = others[order[dists[order] <= cfg.neighbor_radius][: cfg.max_neighbors]]
+    tracks = _track_features(np.concatenate([agent.history[None], histories[keep]]), anchor)
+    history_emb = _lstm_last(params, "history", tracks[:1])
+    if keep.size:
+        nb_h = _lstm_last(params, "neighbor", tracks[1:])
         neighbor_emb = dc.reshape(dc.reduce_max_over_set(nb_h, axis=0), (1, h))
     else:
-        neighbor_emb = dc.matmul(_rows(1), bufs["neighbor.empty"])
+        neighbor_emb = bufs["neighbor.empty"]
 
     emb = dc.concat([road_emb, signal_emb, history_emb, neighbor_emb], axis=1)
     raw = _mlp(params, "decoder", emb, 3)
     k, t = cfg.num_modes, cfg.horizon
     means, covs, logits = _gmm_head(raw, k, t, cfg.log_sigma_floor)
-    v = world_to_agent(Pose2(0.0, 0.0, anchor.heading), agent.history[-1, 3:5])
-    cv = _cv_rollout(v, t, cfg.future_dt)
+    # the current row is valid, so its features hold the agent-frame velocity
+    cv = _cv_rollout(tracks[:1, -1, 4:6], t, cfg.future_dt)
     return gm.TrajectoryGMM(
         means=dc.reshape(means, (k, t, 2)) + Tensor(np.tile(cv, (k, 1, 1))),
         cov_params=dc.reshape(covs, (k, t, 3)),

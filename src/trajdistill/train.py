@@ -250,7 +250,9 @@ class FrozenTeacher:
         key = (scene.scene_id, agent_id)
         if key not in self._cache:
             self.forward_calls += 1
-            self._cache[key] = md.teacher_forward(scene, agent_id, self.params).detach()
+            # kept off any active (student) tape: nothing flows back to the teacher
+            with dc.no_tape():
+                self._cache[key] = md.teacher_forward(scene, agent_id, self.params).detach()
         return self._cache[key]
 
 

@@ -208,6 +208,19 @@ def test_criterion_3_loss_and_op_gradients():
                     + dc.reduce_sum(pooled) + dc.reduce_sum(dc.square(row)))
 
         assert dc.grad_check(f_all, x0) <= 1e-4
+
+    # the fused LSTM, 100 instances, differentiated in each of its parameters
+    lstm_shapes = {"wx": (2, 8), "wh": (2, 8), "b": (1, 8), "h0": (1, 2), "c0": (1, 2)}
+    for _ in range(100):
+        xs = op_rng.standard_normal((3, 4, 2))
+        lstm_args = {n: op_rng.uniform(-0.8, 0.8, shape) for n, shape in lstm_shapes.items()}
+        for name in lstm_shapes:
+
+            def f_lstm(x, xs=xs, lstm_args=lstm_args, name=name):
+                args = {n: x if n == name else Tensor(v) for n, v in lstm_args.items()}
+                return dc.reduce_sum(dc.square(dc.lstm(xs, **args)))
+
+            assert dc.grad_check(f_lstm, lstm_args[name]) <= 1e-4, name
     elapsed = time.time() - t0
     print(f"criterion 3 runtime: {elapsed:.1f}s")
     assert elapsed < 120.0

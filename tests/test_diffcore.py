@@ -78,6 +78,10 @@ def test_shape_mismatch_error_names_op():
         dc.add(Tensor([1.0, 2.0]), Tensor([1.0, 2.0, 3.0]))
     with pytest.raises(dc.ShapeError, match="matmul"):
         dc.matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 3))))
+    hd = 3  # xs has 4 features where wx expects 5
+    with pytest.raises(dc.ShapeError, match="lstm"):
+        dc.lstm(np.ones((2, 3, 4)), np.ones((5, 4 * hd)), np.ones((hd, 4 * hd)), np.ones((1, 4 * hd)),
+                np.ones((1, hd)), np.ones((1, hd)))
 
 
 def test_non_finite_output_raises():
@@ -120,7 +124,8 @@ _ELEMENTWISE = {
 @pytest.mark.parametrize("name", sorted(_ELEMENTWISE))
 def test_unary_op_gradcheck_100_instances(name):
     op = _ELEMENTWISE[name]
-    rng = np.random.default_rng(hash(name) % 2**32)
+    # str hash() is salted per process; crc32 gives every run the same draws
+    rng = np.random.default_rng(zlib.crc32(name.encode()))
     for _ in range(100):
         x0 = rng.uniform(-2, 2, size=rng.integers(2, 8))
         if name in ("relu", "square"):
@@ -136,7 +141,7 @@ def test_unary_op_gradcheck_100_instances(name):
 @pytest.mark.parametrize("name", ["add", "sub", "mul", "div", "matmul"])
 def test_binary_op_gradcheck_100_instances(name):
     op = getattr(dc, name)
-    rng = np.random.default_rng(hash(name) % 2**32)
+    rng = np.random.default_rng(zlib.crc32(name.encode()))
     for _ in range(100):
         if name == "matmul":
             a0 = rng.standard_normal((3, 4))
@@ -145,6 +150,9 @@ def test_binary_op_gradcheck_100_instances(name):
             a0 = rng.standard_normal(5)
             b0 = rng.standard_normal(5)
         if name == "div":
+            # both away from 0: a numerator near 0 puts the divisor's
+            # gradient at the noise floor of the relative error
+            a0 = np.sign(a0) * (np.abs(a0) + 0.5)
             b0 = np.sign(b0) * (np.abs(b0) + 0.5)
 
         def fa(x):
@@ -241,3 +249,95 @@ def test_structural_op_gradcheck_100_instances(name):
                 return dc.reduce_sum(dc.square(dc.scatter_max_pool(x, cells, 5)))
 
         assert grad_check(f, x0) <= 1e-4
+
+
+def test_no_tape_suspends_recording():
+    x = Tensor([0.5, -1.0])
+    with Tape() as tape:
+        a = dc.square(x)
+        with dc.no_tape():
+            assert dc.active_tape() is None
+            b = dc.square(x)
+        c = dc.square(x)
+    assert [id(n) for n in tape.nodes] == [id(a), id(c)]
+    assert b._parents == () and b._backward is None
+
+
+# ---------------------------------------------------------------------------
+# fused LSTM against the unfused composition it replaces
+
+
+def _lstm_unfused(xs, wx, wh, b, h0, c0):
+    """The per-timestep composition of ~12 nodes a step that ``dc.lstm`` fuses;
+    ones-matmuls broadcast the shared rows."""
+    hd = wh.data.shape[0]
+    ones = Tensor(np.ones((xs.shape[0], 1)))
+    h, c, bias = dc.matmul(ones, h0), dc.matmul(ones, c0), dc.matmul(ones, b)
+    for t in range(xs.shape[1]):
+        z = dc.matmul(xs[:, t, :], wx) + dc.matmul(h, wh) + bias
+        i = dc.sigmoid(dc.slice_cols(z, 0, hd))
+        f = dc.sigmoid(dc.slice_cols(z, hd, 2 * hd))
+        g = dc.tanh(dc.slice_cols(z, 2 * hd, 3 * hd))
+        o = dc.sigmoid(dc.slice_cols(z, 3 * hd, 4 * hd))
+        c = f * c + i * g
+        h = o * dc.tanh(c)
+    return h
+
+
+LSTM_ARGS = ("wx", "wh", "b", "h0", "c0")
+
+
+def _lstm_params(rng, nf, hd):
+    shapes = ((nf, 4 * hd), (hd, 4 * hd), (1, 4 * hd), (1, hd), (1, hd))
+    return {name: rng.uniform(-0.8, 0.8, shape) for name, shape in zip(LSTM_ARGS, shapes)}
+
+
+@pytest.mark.parametrize("case", ["batch_1", "length_1", "random"])
+def test_lstm_matches_unfused_composition(case):
+    rng = np.random.default_rng(zlib.crc32(case.encode()))
+    nb, steps = {"batch_1": (1, 10), "length_1": (6, 1)}.get(
+        case, (int(rng.integers(2, 20)), int(rng.integers(2, 12)))
+    )
+    nf, hd = 7, 16
+    xs = rng.uniform(-2.0, 2.0, (nb, steps, nf))
+    arrays = _lstm_params(rng, nf, hd)
+    w_out = rng.standard_normal((nb, hd))
+    results = []
+    for fn in (dc.lstm, _lstm_unfused):
+        params = {name: Tensor(a.copy()) for name, a in arrays.items()}
+        with Tape() as tape:
+            h = fn(xs, *(params[n] for n in LSTM_ARGS))
+            tape.backward(dc.reduce_sum(h * Tensor(w_out)))
+        results.append((h.data, {n: params[n].grad for n in LSTM_ARGS}, len(tape.nodes)))
+    (h_fused, g_fused, nodes), (h_ref, g_ref, _) = results
+    assert h_fused.shape == (nb, hd)
+    assert np.max(np.abs(h_fused - h_ref)) <= 1e-12
+    for name in LSTM_ARGS:
+        scale = np.max(np.abs(g_ref[name]))
+        assert np.max(np.abs(g_fused[name] - g_ref[name])) <= 1e-9 * scale, name
+    assert nodes == 3  # lstm, the output weighting and its sum
+
+
+def test_lstm_length_0_returns_initial_state():
+    rng = np.random.default_rng(3)
+    params = {n: Tensor(a) for n, a in _lstm_params(rng, 4, 3).items()}
+    with Tape() as tape:
+        h = dc.lstm(np.zeros((2, 0, 4)), *(params[n] for n in LSTM_ARGS))
+        tape.backward(dc.reduce_sum(h))
+    assert np.array_equal(h.data, np.repeat(params["h0"].data, 2, axis=0))
+    assert np.array_equal(params["h0"].grad, np.full((1, 3), 2.0))
+    assert not params["wx"].grad.any() and not params["c0"].grad.any()
+
+
+@pytest.mark.parametrize("where, bad", [("xs", np.nan), ("xs", np.inf), ("c0", np.inf)])
+def test_lstm_non_finite_input_raises(where, bad):
+    # +inf saturates the gates and tanh, so the output alone would look finite
+    rng = np.random.default_rng(4)
+    params = {n: Tensor(a) for n, a in _lstm_params(rng, 4, 3).items()}
+    xs = rng.standard_normal((2, 5, 4))
+    if where == "xs":
+        xs[0, 1, 0] = bad
+    else:
+        params[where].data[0, 1] = bad
+    with pytest.raises(dc.NonFiniteError, match="lstm"):
+        dc.lstm(xs, *(params[n] for n in LSTM_ARGS))

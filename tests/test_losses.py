@@ -1,4 +1,5 @@
 import math
+import zlib
 
 import numpy as np
 import pytest
@@ -273,7 +274,8 @@ def _student_from_vector(x, k, t):
 
 @pytest.mark.parametrize("which", ["base", "set", "sample", "distribution"])
 def test_all_losses_gradcheck(which):
-    rng = np.random.default_rng(abs(hash(which)) % 2**32)
+    # str hash() is salted per process; crc32 gives every run the same draws
+    rng = np.random.default_rng(zlib.crc32(which.encode()))
     k, t = 2, 2
     teacher = make_gmm(rng, k=k, t=t)
     gt = Trajectory(states=rng.uniform(-3, 3, (t, 2)))

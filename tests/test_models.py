@@ -214,6 +214,68 @@ def test_teacher_neighbor_cap_and_radius():
 
 
 # ---------------------------------------------------------------------------
+# teacher featurization against per-row references
+
+
+def _track_features_per_row(history, anchor):
+    out = np.zeros((len(history), md.TRACK_STEP_FEATURES))
+    for r, (x, y, heading, vx, vy, valid) in enumerate(history):
+        if valid:
+            out[r, :2] = world_to_agent(anchor, np.array([x, y]))[0]
+            out[r, 2:4] = math.cos(heading - anchor.heading), math.sin(heading - anchor.heading)
+            out[r, 4:6] = world_to_agent(Pose2(0.0, 0.0, anchor.heading), np.array([vx, vy]))[0]
+        out[r, 6] = valid
+    return out
+
+
+def _road_features_per_row(scene, anchor, cfg):
+    dists = [min(math.dist(p, (anchor.x, anchor.y)) for p in poly.points) for poly in scene.roadgraph]
+    order = sorted(range(len(dists)), key=lambda i: dists[i])[: cfg.max_polylines]
+    out = np.zeros((len(order), cfg.points_per_polyline, md.ROAD_POINT_FEATURES))
+    for j, i in enumerate(order):
+        poly = scene.roadgraph[i]
+        for r, p in enumerate(md._resample_polyline(poly.points, cfg.points_per_polyline)):
+            out[j, r, :2] = world_to_agent(anchor, p)[0]
+            out[j, r, 2 + md.ROAD_KINDS.index(poly.kind)] = 1.0
+            out[j, r, -1] = poly.speed_limit_mps / 10.0
+    return out
+
+
+@pytest.mark.parametrize("seed", [0, 11])
+def test_teacher_features_match_per_row_reference(seed):
+    scene = _scene(seed, agents_min=6, agents_max=6)
+    cfg = md.TeacherConfig(max_polylines=7)
+    histories = np.stack([a.history for a in scene.agents])
+    assert (histories[:, :, 5] == 0).any()  # invalid rows are covered
+    for agent in scene.agents:
+        if not agent.history[-1, 5]:
+            continue
+        anchor = Pose2(*agent.current_pose())
+        feats = md._track_features(histories, anchor)
+        ref = np.stack([_track_features_per_row(h, anchor) for h in histories])
+        assert np.max(np.abs(feats - ref)) <= 1e-12
+        road = md._road_features(scene, anchor, cfg)
+        assert road.shape[0] == 7
+        assert np.max(np.abs(road - _road_features_per_row(scene, anchor, cfg))) <= 1e-12
+        sig = md._signal_features(scene, anchor)
+        for s, signal in enumerate(scene.signals):
+            assert np.max(np.abs(sig[s, :, :2] - world_to_agent(anchor, signal.position))) <= 1e-12
+            assert [md.SIGNAL_STATES[i] for i in sig[s, :, 2:].argmax(axis=1)] == signal.states
+            assert np.array_equal(sig[s, :, 2:].sum(axis=1), np.ones(scene.history_len))
+
+
+def test_teacher_forward_tape_node_budget():
+    """The fused LSTM keeps one teacher forward to a few dozen tape nodes
+    (the per-timestep composition recorded 385 here)."""
+    scene = sg.generate_scene(sg.GenConfig(agents_min=5, agents_max=5, seed=3), 0)
+    params = md.init_params(md.TeacherConfig(), np.random.default_rng(0))
+    with dc.Tape() as tape:
+        md.teacher_forward(scene, scene.prediction_targets()[0].id, params)
+    assert len(tape.nodes) <= 60
+    assert sum(n.op == "lstm" for n in tape.nodes) >= 2
+
+
+# ---------------------------------------------------------------------------
 # student contracts
 
 

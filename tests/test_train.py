@@ -10,6 +10,7 @@ import json
 import numpy as np
 import pytest
 
+from trajdistill import diffcore as dc
 from trajdistill import gmm as gm
 from trajdistill import models as md
 from trajdistill import scenegen as sg
@@ -173,6 +174,31 @@ def test_teacher_frozen_and_memoized():
                 frozen.predict(scene, a.id)
     n_pairs = sum(len(s.prediction_targets()) for s in scenes)
     assert frozen.forward_calls == n_pairs
+
+
+def test_teacher_ops_stay_off_the_student_tape(monkeypatch):
+    """Every node of a ``set`` step's tape belongs to the student: the frozen
+    teacher's forward is not recorded."""
+    tapes = []
+
+    class RecordingTape(dc.Tape):
+        def backward(self, root):
+            tapes.append(list(self.nodes))
+            super().backward(root)
+
+    monkeypatch.setattr(dc, "Tape", RecordingTape)
+    scenes = _scenes(2, seed=21)
+    teacher = md.init_params(_small_teacher(), np.random.default_rng(1))
+    student = md.init_params(_small_student(), np.random.default_rng(2))
+    cfg = tr.TrainConfig(steps=3, seed=0, method="set", lambda_mode="constant")
+    tr.distill_student(scenes, student, cfg, teacher=teacher)
+    assert len(tapes) == 3
+    teacher_ids = {id(t) for t in teacher.buffers.values()}
+    student_ids = {id(t) for t in student.buffers.values()}
+    for nodes in tapes:
+        parents = {id(p) for n in nodes for p in n._parents}
+        assert not parents & teacher_ids
+        assert parents & student_ids
 
 
 @pytest.mark.parametrize("method", ["set", "sample", "distribution"])
