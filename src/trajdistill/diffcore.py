@@ -7,20 +7,28 @@ Design notes:
   * ``no_tape()`` suspends recording inside an active tape: ops run in it
     return untracked results, as they do with no tape at all.
   * Elementwise binary ops require identical shapes or a python/0-d scalar on
-    one side; there is no general broadcasting. Row broadcasting, where a model
-    needs it, is expressed with an explicit ones-matmul; the fused ``lstm``
-    broadcasts its (1, .) bias and initial-state rows itself.
+    one side; there is no general broadcasting. Row broadcasting happens only
+    inside fused ops: ``affine`` adds its (1, n) bias row to every row, and
+    ``lstm`` broadcasts its (1, .) bias and initial-state rows; each sums the
+    gradient of a broadcast row over the rows.
   * ``lstm`` runs a whole sequence as one node with a hand-written
     backpropagation-through-time backward, in place of ~12 elementwise and
     matmul nodes per timestep.
+  * ``conv2d`` costs in proportion to its active windows, those that touch a
+    nonzero input row, in the forward and the weight gradient; on a sparse
+    pillar grid that is a small share of the grid. Its input gradient is one
+    dense matmul against the flipped kernel.
   * Every op checks its output for non-finite values and raises immediately,
-    which keeps failures close to their cause during training. ``unstack``
-    is the exception: its rows are parts of a tensor already checked.
+    which keeps failures close to their cause during training. The check
+    reads one sum of squares and scans elementwise only when that is not
+    finite. ``unstack`` is the exception: its rows are parts of a tensor
+    already checked.
 """
 
 from __future__ import annotations
 
 import contextlib
+import math
 import numbers
 from typing import Callable, Iterable, Sequence
 
@@ -165,7 +173,11 @@ def _accum(t: Tensor, g: np.ndarray) -> None:
 
 
 def _make(data: np.ndarray, parents: tuple, backward: Callable | None, op: str) -> Tensor:
-    if not np.all(np.isfinite(data)):
+    # fast path: the sum of squares is non-finite when any element is, and
+    # when finite squares overflow, which the exact check then clears; vdot,
+    # unlike sum, skips numpy's floating-point error handling, so such an
+    # overflow warns nothing
+    if not math.isfinite(np.vdot(data, data)) and not np.all(np.isfinite(data)):
         raise NonFiniteError(f"op '{op}' produced non-finite values")
     return _record(data, parents, backward, op)
 
@@ -257,6 +269,26 @@ def matmul(a, b) -> Tensor:
         _accum(b, a.data.T @ g)
 
     return _make(data, (a, b), backward, "matmul")
+
+
+def affine(x, w, b) -> Tensor:
+    """x @ w + b, the (1, n) row b added to every row, as one node."""
+    x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
+    if (
+        x.data.ndim != 2
+        or w.data.ndim != 2
+        or x.data.shape[1] != w.data.shape[0]
+        or b.data.shape != (1, w.data.shape[1])
+    ):
+        raise ShapeError(f"op 'affine': incompatible shapes {x.data.shape} @ {w.data.shape} + {b.data.shape}")
+    data = x.data @ w.data + b.data
+
+    def backward(g):
+        _accum(x, g @ w.data.T)
+        _accum(w, x.data.T @ g)
+        _accum(b, g.sum(axis=0, keepdims=True))
+
+    return _make(data, (x, w, b), backward, "affine")
 
 
 def concat(parts: Sequence, axis: int = 0) -> Tensor:
@@ -481,36 +513,61 @@ def scatter_max_pool(points, cell_ids: np.ndarray, num_cells: int) -> Tensor:
     return _make(data, (points,), backward, "scatter_max_pool")
 
 
+def _im2col(padded: np.ndarray, starts: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """Windows of a padded (H', W', C) image as rows (len(starts), k*C): row r
+    holds the pixels at flat positions ``starts[r] + offsets``, channels last."""
+    c = padded.shape[-1]
+    return np.take(padded.reshape(-1, c), starts[:, None] + offsets, axis=0).reshape(len(starts), offsets.size * c)
+
+
 def conv2d(x, w, b) -> Tensor:
-    """2-D convolution, stride 1, same (zero) padding.
+    """2-D convolution, stride 1, same (zero) padding, odd kernel sizes.
 
     x: (H, W, Cin); w: (kh, kw, Cin, Cout); b: (Cout,).
+
+    The forward and the weight gradient cost grows with the active output
+    rows, those whose window touches a nonzero (or non-finite) input row: one
+    matmul over their im2col rows. Every other row is the value of an
+    all-zero window, b. The input gradient is dense: the im2col of the padded
+    output gradient times the flipped, transposed kernel, one matmul.
     """
     x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
     h, wd, cin = x.data.shape
     kh, kw, cin2, cout = w.data.shape
     if cin != cin2:
         raise ShapeError(f"op 'conv2d': channels {cin} vs weight {cin2}")
+    if kh % 2 == 0 or kw % 2 == 0:
+        raise ShapeError(f"op 'conv2d': kernel {kh}x{kw} is not odd")
     ph, pw = kh // 2, kw // 2
     xp = np.pad(x.data, ((ph, ph), (pw, pw), (0, 0)))
-    patches = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(0, 1))
-    # patches: (H, W, Cin, kh, kw) -> (H*W, kh*kw*Cin)
-    cols = patches.transpose(0, 1, 3, 4, 2).reshape(h * wd, kh * kw * cin)
+    # top-left flat position in the padded image of every output's window,
+    # and the offsets of the window's pixels from it, kernel row-major
+    starts = (np.arange(h)[:, None] * (wd + 2 * pw) + np.arange(wd)).ravel()
+    offsets = (np.arange(kh)[:, None] * (wd + 2 * pw) + np.arange(kw)).ravel()
+    # an output is active when its window touches an occupied input row (NaN
+    # and inf count); the OR over the window's kh*kw shifts of the occupancy
+    occupied = xp.any(axis=2)
+    active = np.zeros((h, wd), dtype=bool)
+    for i in range(kh):
+        for j in range(kw):
+            active |= occupied[i : i + h, j : j + wd]
+    rows = np.flatnonzero(active)
+    cols = _im2col(xp, starts[rows], offsets)
     wmat = w.data.reshape(kh * kw * cin, cout)
-    data = (cols @ wmat + b.data).reshape(h, wd, cout)
+    data = np.empty((h * wd, cout))
+    # an all-zero window: b, or non-finite as the dense product when w is
+    data[:] = np.zeros((1, kh * kw * cin)) @ wmat + b.data
+    data[rows] = cols @ wmat + b.data
 
     def backward(g):
         g2 = g.reshape(h * wd, cout)
-        _accum(w, (cols.T @ g2).reshape(w.data.shape))
+        _accum(w, (cols.T @ g2[rows]).reshape(w.data.shape))
         _accum(b, g2.sum(axis=0))
-        dcols = (g2 @ wmat.T).reshape(h, wd, kh, kw, cin)
-        dxp = np.zeros_like(xp)
-        for i in range(kh):
-            for j in range(kw):
-                dxp[i : i + h, j : j + wd, :] += dcols[:, :, i, j, :]
-        _accum(x, dxp[ph : ph + h, pw : pw + wd, :])
+        gp = np.pad(g2.reshape(h, wd, cout), ((ph, ph), (pw, pw), (0, 0)))
+        wflip = w.data[::-1, ::-1].transpose(0, 1, 3, 2).reshape(kh * kw * cout, cin)
+        _accum(x, (_im2col(gp, starts, offsets) @ wflip).reshape(h, wd, cin))
 
-    return _make(data, (x, w, b), backward, "conv2d")
+    return _make(data.reshape(h, wd, cout), (x, w, b), backward, "conv2d")
 
 
 def lstm(xs, wx, wh, b, h0, c0) -> Tensor:

@@ -204,8 +204,9 @@ def test_criterion_3_loss_and_op_gradients():
             img = dc.reshape(dc.concat([h, h, h], axis=0), (3, 3, 4))
             conv = dc.conv2d(img, Tensor(kern), Tensor(np.zeros(2)))
             row = dc.unstack(g)[1]
+            af = dc.affine(d, x, dc.gather(a, np.array([0]), axis=0))
             return (dc.reduce_sum(dc.square(conv)) + dc.reduce_sum(w) + s
-                    + dc.reduce_sum(pooled) + dc.reduce_sum(dc.square(row)))
+                    + dc.reduce_sum(pooled) + dc.reduce_sum(dc.square(row)) + dc.reduce_sum(af))
 
         assert dc.grad_check(f_all, x0) <= 1e-4
 

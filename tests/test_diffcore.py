@@ -1,4 +1,5 @@
 import math
+import warnings
 import zlib
 
 import numpy as np
@@ -89,6 +90,46 @@ def test_non_finite_output_raises():
         dc.log(Tensor([0.0]))
 
 
+@pytest.mark.parametrize(
+    "values", [[1.0, np.nan], [np.inf, 2.0], [-np.inf, 2.0], [np.inf, -np.inf]], ids=["nan", "inf", "-inf", "inf,-inf"]
+)
+def test_non_finite_value_raises_with_op_name(values):
+    with pytest.raises(dc.NonFiniteError, match="'reshape'"):
+        dc.reshape(Tensor(values), (2, 1))
+
+
+def test_finite_values_whose_sum_overflows_pass_quietly():
+    # the fast check overflows to inf here; the exact check clears the values
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = dc.reshape(Tensor([1e308, 1e308, -1e308]), (3, 1))
+    assert np.array_equal(out.data[:, 0], [1e308, 1e308, -1e308])
+
+
+def test_affine_matches_matmul_plus_ones_row():
+    """The fused affine op against the ones-matmul composition it replaces:
+    bit-identical forward, gradients within 1e-12 relative."""
+    rng = np.random.default_rng(8)
+    arrays = {"x": rng.standard_normal((7, 5)), "w": rng.standard_normal((5, 3)), "b": rng.standard_normal((1, 3))}
+    w_out = rng.standard_normal((7, 3))
+    results = []
+    for fused in (True, False):
+        t = {n: Tensor(a.copy()) for n, a in arrays.items()}
+        with Tape() as tape:
+            if fused:
+                y = dc.affine(t["x"], t["w"], t["b"])
+            else:
+                y = dc.matmul(t["x"], t["w"]) + dc.matmul(Tensor(np.ones((7, 1))), t["b"])
+            tape.backward(dc.reduce_sum(y * Tensor(w_out)))
+        results.append((y.data, {n: t[n].grad for n in t}))
+    (y_fused, g_fused), (y_ref, g_ref) = results
+    assert np.array_equal(y_fused, y_ref)
+    for n in arrays:
+        assert np.max(np.abs(g_fused[n] - g_ref[n])) <= 1e-12 * np.max(np.abs(g_ref[n])), n
+    with pytest.raises(dc.ShapeError, match="affine"):
+        dc.affine(Tensor(arrays["x"]), Tensor(arrays["w"]), Tensor(np.ones(3)))
+
+
 def test_max_tie_break_lowest_index():
     x = Tensor([[2.0, 1.0], [2.0, 5.0]])
     with Tape() as tape:
@@ -174,8 +215,8 @@ def _separated(rng, rows, cols):
 
 @pytest.mark.parametrize(
     "name",
-    ["concat", "gather", "reduce_sum", "reduce_max_over_set", "log", "sqrt", "conv2d", "scatter_max_pool",
-     "slice_cols", "unstack"],
+    ["concat", "gather", "reduce_sum", "reduce_max_over_set", "log", "sqrt", "conv2d", "conv2d_sparse",
+     "scatter_max_pool", "slice_cols", "unstack", "affine"],
 )
 def test_structural_op_gradcheck_100_instances(name):
     # str hash() is salted per process; crc32 gives every run the same draws
@@ -240,6 +281,28 @@ def test_structural_op_gradcheck_100_instances(name):
 
             def f(x):
                 return dc.reduce_sum(dc.square(dc.conv2d(x, Tensor(w), Tensor(b))))
+
+        elif name == "conv2d_sparse":
+            # at least half the pixel rows zero: the gradient at zero rows,
+            # which feed no active window of the forward, is checked too
+            x0 = rng.standard_normal((5, 4, 2))
+            zero = rng.permutation(20)[:12]
+            x0[zero // 4, zero % 4] = 0.0
+            w = rng.standard_normal((3, 3, 2, 2)) * 0.3
+            b = rng.standard_normal(2) * 0.1
+
+            def f(x):
+                return dc.reduce_sum(dc.square(dc.conv2d(x, Tensor(w), Tensor(b))))
+
+        elif name == "affine":
+            # x (4, 3), w (3, 2) and b (1, 2) packed in one row, so that one
+            # grad-check covers all three gradients
+            x0 = rng.standard_normal((1, 20))
+
+            def f(v):
+                x = dc.reshape(dc.slice_cols(v, 0, 12), (4, 3))
+                w = dc.reshape(dc.slice_cols(v, 12, 18), (3, 2))
+                return dc.reduce_sum(dc.square(dc.affine(x, w, dc.slice_cols(v, 18, 20))))
 
         elif name == "scatter_max_pool":
             x0 = _separated(rng, 8, 3)
@@ -341,3 +404,89 @@ def test_lstm_non_finite_input_raises(where, bad):
         params[where].data[0, 1] = bad
     with pytest.raises(dc.NonFiniteError, match="lstm"):
         dc.lstm(xs, *(params[n] for n in LSTM_ARGS))
+
+
+# ---------------------------------------------------------------------------
+# conv2d against the dense im2col convolution it replaces
+
+
+def _conv2d_im2col(x, w, b):
+    """Dense im2col convolution with a kh x kw col2im loop in the backward:
+    every output row computed, zero windows included."""
+    x, w, b = dc.as_tensor(x), dc.as_tensor(w), dc.as_tensor(b)
+    h, wd, cin = x.data.shape
+    kh, kw, _, cout = w.data.shape
+    ph, pw = kh // 2, kw // 2
+    xp = np.pad(x.data, ((ph, ph), (pw, pw), (0, 0)))
+    patches = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(0, 1))
+    cols = patches.transpose(0, 1, 3, 4, 2).reshape(h * wd, kh * kw * cin)
+    wmat = w.data.reshape(kh * kw * cin, cout)
+    data = (cols @ wmat + b.data).reshape(h, wd, cout)
+
+    def backward(g):
+        g2 = g.reshape(h * wd, cout)
+        dc._accum(w, (cols.T @ g2).reshape(w.data.shape))
+        dc._accum(b, g2.sum(axis=0))
+        dcols = (g2 @ wmat.T).reshape(h, wd, kh, kw, cin)
+        dxp = np.zeros_like(xp)
+        for i in range(kh):
+            for j in range(kw):
+                dxp[i : i + h, j : j + wd, :] += dcols[:, :, i, j, :]
+        dc._accum(x, dxp[ph : ph + h, pw : pw + wd, :])
+
+    return dc._make(data, (x, w, b), backward, "conv2d")
+
+
+def _conv_input(case, rng):
+    """(x, kernel size) of each case."""
+    if case == "dense":
+        return rng.standard_normal((9, 9, 3)), 3
+    if case == "sparse":
+        # > 90% zero rows; occupied rows on the border and in two corners
+        x = np.zeros((16, 16, 3))
+        for r, c in [(0, 0), (15, 15), (0, 7), (8, 15), (15, 3), (6, 6), (7, 6), (11, 2)]:
+            x[r, c] = rng.standard_normal(3)
+        return x, 3
+    if case == "all_zero":
+        return np.zeros((6, 7, 3)), 3
+    if case == "h_ne_w":
+        x = rng.standard_normal((5, 11, 3))
+        x[rng.random((5, 11)) < 0.6] = 0.0
+        return x, 3
+    size = int(case[-1])  # kernel_1, kernel_3, kernel_5
+    x = rng.standard_normal((10, 8, 3))
+    x[rng.random((10, 8)) < 0.7] = 0.0
+    return x, size
+
+
+@pytest.mark.parametrize("case", ["dense", "sparse", "all_zero", "h_ne_w", "kernel_1", "kernel_3", "kernel_5"])
+def test_conv2d_matches_dense_im2col_oracle(case):
+    rng = np.random.default_rng(zlib.crc32(case.encode()))
+    x0, k = _conv_input(case, rng)
+    arrays = {"x": x0, "w": rng.standard_normal((k, k, 3, 4)) * 0.3, "b": rng.standard_normal(4)}
+    w_out = rng.standard_normal(x0.shape[:2] + (4,))
+    results = []
+    for conv in (dc.conv2d, _conv2d_im2col):
+        t = {n: Tensor(a.copy()) for n, a in arrays.items()}
+        with Tape() as tape:
+            y = conv(t["x"], t["w"], t["b"])
+            tape.backward(dc.reduce_sum(y * Tensor(w_out)))
+        results.append((y.data, {n: t[n].grad for n in t}))
+    (y_new, g_new), (y_ref, g_ref) = results
+    assert np.max(np.abs(y_new - y_ref)) <= 1e-12
+    for n in arrays:
+        scale = max(np.max(np.abs(g_ref[n])), 1e-300)
+        assert np.max(np.abs(g_new[n] - g_ref[n])) <= 1e-9 * scale, n
+    if case == "sparse":
+        assert np.mean(~x0.any(axis=2)) >= 0.9
+    if case == "all_zero":
+        assert np.array_equal(y_new, np.broadcast_to(arrays["b"], y_new.shape))
+        assert not g_new["w"].any()
+
+
+def test_conv2d_nan_in_zero_grid_raises():
+    # a NaN pixel is active like any nonzero one, so it reaches the output
+    x = np.zeros((8, 8, 2))
+    x[3, 5, 1] = np.nan
+    with pytest.raises(dc.NonFiniteError, match="conv2d"):
+        dc.conv2d(Tensor(x), Tensor(np.full((3, 3, 2, 2), 0.1)), Tensor(np.zeros(2)))

@@ -276,6 +276,71 @@ def test_teacher_forward_tape_node_budget():
 
 
 # ---------------------------------------------------------------------------
+# student rasterization against the per-point loop it replaces
+
+
+def _raster_points_per_point(scene, cfg):
+    """One ``add`` call per road and signal point, as the rasterizer did
+    before its array form; the agent blocks were arrays already."""
+    feats, coords = [], []
+
+    def add(xy, kind, vel=(0.0, 0.0), age=0.0):
+        f = np.zeros(md.RASTER_FEATURES)
+        f[2 + md.RASTER_KINDS.index(kind)] = 1.0
+        f[-3:-1] = vel
+        f[-1] = age
+        coords.append(xy)
+        feats.append(f)
+
+    for poly in scene.roadgraph:
+        seg = np.linalg.norm(np.diff(poly.points, axis=0), axis=1).sum()
+        for p in md._resample_polyline(poly.points, max(2, int(seg / cfg.cell_size) + 1)):
+            add(p, poly.kind)
+    for sig in scene.signals:
+        add(sig.position, f"signal_{sig.states[-1]}")
+    active = [a for a in scene.agents if a.history[-1, 5]]
+    for a in active:
+        x, y, heading = a.current_pose()
+        c, s = math.cos(heading), math.sin(heading)
+        for u, v in [(0.0, 0.0), (0.5, 0.5), (0.5, -0.5), (-0.5, 0.5), (-0.5, -0.5)]:
+            du, dv = u * a.length, v * a.width
+            add(np.array([c * du - s * dv + x, s * du + c * dv + y]), "agent", a.history[-1, 3:5] / 10.0)
+    last = scene.history_len - 1
+    for a in active:
+        for t in range(last):
+            if a.history[t, 5] > 0:
+                add(a.history[t, :2], "agent_history", a.history[t, 3:5] / 10.0, (last - t) / 10.0)
+    coords = np.array(coords).reshape(-1, 2)
+    feats = np.array(feats).reshape(-1, md.RASTER_FEATURES)
+    half_w, half_h = cfg.grid_w * cfg.cell_size / 2.0, cfg.grid_h * cfg.cell_size / 2.0
+    ix = np.floor((coords[:, 0] + half_w) / cfg.cell_size).astype(int)
+    iy = np.floor((coords[:, 1] + half_h) / cfg.cell_size).astype(int)
+    inside = (ix >= 0) & (ix < cfg.grid_w) & (iy >= 0) & (iy < cfg.grid_h)
+    ix, iy, coords, feats = ix[inside], iy[inside], coords[inside], feats[inside]
+    feats[:, 0] = (coords[:, 0] + half_w) / cfg.cell_size - ix
+    feats[:, 1] = (coords[:, 1] + half_h) / cfg.cell_size - iy
+    return feats, iy * cfg.grid_w + ix
+
+
+@pytest.mark.parametrize("case", ["seed_0", "seed_5", "seed_9", "seed_13", "agents_128", "no_road_no_signals"])
+def test_raster_points_match_per_point_loop(case):
+    """Bit-identical features and cells in the same row order, so that
+    ``scatter_max_pool`` breaks ties the same way."""
+    if case == "agents_128":
+        scene = _scene(2, agents_min=128, agents_max=128)
+    else:
+        scene = _scene(6 if case == "no_road_no_signals" else int(case.split("_")[1]))
+    if case == "no_road_no_signals":
+        scene.roadgraph, scene.signals = [], []
+    cfg = md.StudentConfig()
+    feats, cells = md._raster_points(scene, cfg)
+    ref_feats, ref_cells = _raster_points_per_point(scene, cfg)
+    assert np.array_equal(feats, ref_feats)
+    assert np.array_equal(cells, ref_cells)
+    assert len(cells) > 0 and feats[:, 2:2 + len(md.RASTER_KINDS)].sum(axis=1).tolist() == [1.0] * len(cells)
+
+
+# ---------------------------------------------------------------------------
 # student contracts
 
 
@@ -286,6 +351,14 @@ def test_student_encode_once_counter():
     preds = md.student_predict(scene, ids, params)
     assert params.stats["scene_encodes"] == 1
     assert set(preds) == set(ids)
+
+
+def test_student_decode_unknown_agent_raises():
+    scene = _scene(8)
+    params = md.init_params(md.StudentConfig(), np.random.default_rng(0))
+    enc = md.student_forward_scene(scene, params)
+    with pytest.raises(KeyError, match="unknown agent id: ghost"):
+        md.student_decode(enc, scene, [scene.agents[0].id, "ghost"], params)
 
 
 def test_student_predict_matches_per_agent_decode():
