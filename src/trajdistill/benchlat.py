@@ -71,15 +71,6 @@ def bench_scene(n_agents: int, m_road: int, rng: np.random.Generator, history_le
     )
 
 
-def _infer_scene(kind: str, scene: Scene, params: md.ModelParams) -> None:
-    ids = [a.id for a in scene.agents]
-    if kind == "teacher":
-        for aid in ids:
-            md.teacher_forward(scene, aid, params)
-    else:
-        md.student_decode(md.student_forward_scene(scene, params), scene, ids, params)
-
-
 def run_bench(
     kind: str,
     params: md.ModelParams,
@@ -91,17 +82,18 @@ def run_bench(
     """Median full-scene inference latency per (n_agents, m_road) size."""
     if reps < 5:
         raise ValueError("reps must be >= 5 for stable percentiles")
-    if kind not in ("teacher", "student"):
-        raise ValueError(f"unknown model kind: {kind!r}")
+    if kind != params.kind:
+        raise ValueError(f"model kind {kind!r} does not match the {params.kind} params")
     points = []
     for n, m in sizes:
         scene = bench_scene(n, m, np.random.default_rng(seed + 1000 * n + m))
+        ids = [a.id for a in scene.agents]
         for _ in range(warmup):
-            _infer_scene(kind, scene, params)
+            md.predict_scene(scene, ids, params)
         samples = []
         for _ in range(reps):
             t0 = time.perf_counter()
-            _infer_scene(kind, scene, params)
+            md.predict_scene(scene, ids, params)
             samples.append(time.perf_counter() - t0)
         samples = np.array(samples)
         points.append(

@@ -479,35 +479,33 @@ def softmax(t, axis: int = -1) -> Tensor:
 def scatter_max_pool(points, cell_ids: np.ndarray, num_cells: int) -> Tensor:
     """Per-cell columnwise max of point rows; empty cells are zero.
 
-    ``points`` is (N, E); ``cell_ids`` an intp array of length N. Ties go to
-    the lowest original row index (stable sort keeps insertion order).
+    ``points`` is (N, E); ``cell_ids`` an intp array of length N. The gradient
+    of a cell's column goes to the first row attaining its max, the lowest
+    original row index (the stable sort keeps insertion order within a cell);
+    that routing is found in the backward only, so inference does not pay it.
     """
     points = as_tensor(points)
     n, e = points.data.shape
     cell_ids = np.asarray(cell_ids, dtype=np.intp)
     order = np.argsort(cell_ids, kind="stable")
+    sorted_ids = cell_ids[order]
+    sorted_pts = points.data[order]
     data = np.zeros((num_cells, e), dtype=points.data.dtype)
-    src_idx = np.full((num_cells, e), -1, dtype=np.intp)
     if n:
-        sorted_ids = cell_ids[order]
-        sorted_pts = points.data[order]
-        bounds = np.flatnonzero(np.diff(sorted_ids)) + 1
-        starts = np.concatenate(([0], bounds))
+        starts = np.concatenate(([0], np.flatnonzero(np.diff(sorted_ids)) + 1))
         seg_cells = sorted_ids[starts]
-        seg_of_row = np.repeat(np.arange(starts.size), np.diff(np.concatenate((starts, [n]))))
         maxv = np.maximum.reduceat(sorted_pts, starts, axis=0)
-        # First (lowest original row; stable sort preserves insertion order
-        # within a cell) sorted position attaining the columnwise max.
-        cand = np.where(sorted_pts == maxv[seg_of_row], np.arange(n)[:, None], n)
-        first = np.minimum.reduceat(cand, starts, axis=0)
         data[seg_cells] = maxv
-        src_idx[seg_cells] = order[first]
 
     def backward(g):
         full = np.zeros_like(points.data)
-        occupied = src_idx[:, 0] >= 0
-        rows = src_idx[occupied]
-        np.add.at(full, (rows, np.arange(e)[None, :].repeat(rows.shape[0], 0)), g[occupied])
+        if n:
+            # first sorted position of each segment attaining the columnwise max
+            seg_of_row = np.repeat(np.arange(starts.size), np.diff(starts, append=n))
+            cand = np.where(sorted_pts == maxv[seg_of_row], np.arange(n)[:, None], n)
+            first = np.minimum.reduceat(cand, starts, axis=0)
+            # a row lies in one cell, so the (row, column) targets are distinct
+            full[order[first], np.arange(e)] = g[seg_cells]
         _accum(points, full)
 
     return _make(data, (points,), backward, "scatter_max_pool")

@@ -113,9 +113,7 @@ def gaussian2d_logpdf(residual, cov):
     c = dc.reshape(cov, (-1, 3))
     dx = dc.slice_cols(r, 0, 1)
     dy = dc.slice_cols(r, 1, 2)
-    lsx = dc.slice_cols(c, 0, 1)
-    lsy = dc.slice_cols(c, 1, 2)
-    rho = dc.tanh(dc.slice_cols(c, 2, 3))
+    lsx, lsy, rho = _cov_terms(c)
     inv_sx = dc.exp(-lsx)
     inv_sy = dc.exp(-lsy)
     ux = dx * inv_sx
@@ -140,18 +138,6 @@ def mode_loglik(gmm: TrajectoryGMM, k: int, traj: Trajectory):
     residual = dc.sub(traj.states[valid_idx], dc.gather(means_k, valid_idx, axis=0))
     logp = gaussian2d_logpdf(residual, dc.gather(covs_k, valid_idx, axis=0))
     out = dc.reduce_sum(logp)
-    return out if tensor_mode else float(out.data)
-
-
-def gmm_loglik(gmm: TrajectoryGMM, traj: Trajectory):
-    """log p(traj) under the mixture: logsumexp_k of log pi_k + mode loglik."""
-    tensor_mode = isinstance(gmm.means, Tensor) or isinstance(gmm.logits, Tensor)
-    logw = log_weights(gmm.logits)
-    per_mode = [
-        dc.reshape(dc.gather(logw, [k], axis=0), (1,)) + dc.reshape(mode_loglik_t(gmm, k, traj), (1,))
-        for k in range(gmm.num_modes)
-    ]
-    out = dc.logsumexp(dc.concat(per_mode, axis=0), axis=-1)
     return out if tensor_mode else float(out.data)
 
 

@@ -7,7 +7,7 @@ student's outputs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -66,15 +66,9 @@ def base_loss(pred: TrajectoryGMM, gt: Trajectory) -> LossBreakdown:
     return LossBreakdown(total=total, nll_term=total, ce_term=_zero(), kl_term=_zero())
 
 
-def mode_cross_entropy(student_w, teacher_w) -> Tensor:
-    """-sum_k teacher_k * ln(student_k), teacher as the target distribution."""
-    student_w = as_tensor(student_w)
-    teacher_w = gm._arr(teacher_w)
-    return dc.reduce_sum(dc.mul(dc.log(student_w), -teacher_w))
-
-
 def _ce_from_logits(student_logits, teacher_w) -> Tensor:
-    """Cross entropy computed from logits (stable log-softmax path)."""
+    """Mode cross entropy -sum_k teacher_k * log softmax(student_logits)_k,
+    the teacher weights as the target distribution (stable log-softmax path)."""
     logw = gm.log_weights(as_tensor(student_logits))
     return dc.reduce_sum(dc.mul(logw, -gm._arr(teacher_w)))
 
@@ -133,13 +127,7 @@ def combined_loss(
     """Set distillation plus lambda-gated base loss."""
     distill = distill_set_loss(student, teacher, opts)
     if lam == 0:
-        return LossBreakdown(
-            total=distill.total,
-            nll_term=distill.nll_term,
-            ce_term=distill.ce_term,
-            kl_term=_zero(),
-            active_lambda=0,
-        )
+        return replace(distill, active_lambda=0)
     base = base_loss(student, gt)
     return LossBreakdown(
         total=distill.total + base.total,

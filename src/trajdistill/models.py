@@ -26,6 +26,10 @@ one decode path: a single batched pass for any number of agents, on the
 tape when one is active, that leaves out agents outside the grid extent.
 Training and evaluation skip such agents; ``student_predict`` and
 ``student_decode_agent`` raise ``OutOfExtentError`` for them.
+
+``predict_scene`` is the one prediction call for both model kinds, used by
+training, evaluation and the latency harness: a ``teacher_forward`` per
+agent, or one student encode and batched decode.
 """
 
 from __future__ import annotations
@@ -105,9 +109,6 @@ class ModelParams:
     buffers: dict[str, Tensor]
     schema_version: int = PARAMS_SCHEMA_VERSION
     stats: dict = field(default_factory=dict)
-
-    def named_arrays(self) -> dict[str, np.ndarray]:
-        return {name: t.data for name, t in self.buffers.items()}
 
     def num_params(self) -> int:
         return sum(t.data.size for t in self.buffers.values())
@@ -543,10 +544,26 @@ def student_predict(scene: Scene, agent_ids: list[str], params: ModelParams) -> 
 
     Raises OutOfExtentError when any requested agent is off the grid.
     """
-    enc = student_forward_scene(scene, params)
-    out = student_decode(enc, scene, agent_ids, params)
+    out = predict_scene(scene, agent_ids, params)
     _require_decoded(out, agent_ids)
     return {aid: pred.detach() for aid, pred in out.items()}
+
+
+# ---------------------------------------------------------------------------
+# either model
+
+
+def predict_scene(scene: Scene, agent_ids: list[str], params: ModelParams) -> dict[str, gm.TrajectoryGMM]:
+    """Agent-frame GMMs of ``agent_ids`` from either model kind, recorded on
+    the active tape if there is one.
+
+    The teacher runs one ``teacher_forward`` per agent. The student encodes
+    the scene once and decodes all agents in one batched pass, leaving out
+    agents outside the grid extent.
+    """
+    if params.kind == "teacher":
+        return {aid: teacher_forward(scene, aid, params) for aid in agent_ids}
+    return student_decode(student_forward_scene(scene, params), scene, agent_ids, params)
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,12 @@
-"""Training loops: teacher pre-training and student distillation.
+"""Training: teacher pre-training and student distillation in one loop.
 
 One optimizer step consumes one scene (all of its prediction targets).
-Scene order is a seeded shuffle, reshuffled each epoch. The teacher is
-frozen during distillation; its per-agent predictions are computed once and
-memoized by (scene_id, agent_id).
+Scene order is a seeded shuffle, reshuffled each epoch. Both models train
+through the same loop (``_fit``), which predicts through
+``models.predict_scene``: the teacher trains as the ``none`` method (the
+base mixture NLL alone) at a constant lambda. The teacher is frozen during
+distillation; its per-agent predictions are computed once and memoized by
+(scene_id, agent_id).
 
 Checkpoints are two files: a JSON manifest (schema version, model kind,
 config, ordered tensor names and shapes) and a raw little-endian float32
@@ -14,7 +17,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -185,55 +188,7 @@ class TrainLog:
 
 
 # ---------------------------------------------------------------------------
-# teacher training
-
-
-def train_teacher(
-    scenes: list[Scene],
-    params: md.ModelParams,
-    cfg: TrainConfig,
-    log: TrainLog | None = None,
-) -> TrainLog:
-    """Minimize the base mixture NLL over all prediction targets, one scene
-    per step."""
-    if params.kind != "teacher":
-        raise ValueError("train_teacher requires teacher params")
-    log = log or TrainLog()
-    rng = np.random.default_rng(cfg.seed)
-    order = _scene_order(len(scenes), cfg.steps, rng)
-    state = AdamState()
-    for step, scene_idx in enumerate(order):
-        scene = scenes[scene_idx]
-        targets = [a for a in scene.prediction_targets() if a.future is not None]
-        if not targets:
-            continue
-        _zero_grads(params)
-        with dc.Tape() as tape:
-            total = Tensor(0.0)
-            nll = ce = kl = 0.0
-            for agent in targets:
-                pred = md.teacher_forward(scene, agent.id, params)
-                lb = ls.base_loss(pred, agent_frame_gt(scene, agent.id))
-                total = total + lb.total
-                nll += float(lb.nll_term.data)
-            total = total * (1.0 / len(targets))
-            tape.backward(total)
-        grads = _collect_grads(params)
-        norm = clip_global_norm(grads, cfg.clip_norm)
-        adam_step(params, grads, state, cfg)
-        log.append(
-            StepRecord(
-                step=step, scene_index=scene_idx, loss=float(total.data),
-                nll=nll / len(targets), ce=ce, kl=kl, active_lambda=1,
-                grad_norm=norm, n_agents=len(targets),
-            )
-        )
-    log.close()
-    return log
-
-
-# ---------------------------------------------------------------------------
-# student training / distillation
+# training
 
 
 class FrozenTeacher:
@@ -256,7 +211,7 @@ class FrozenTeacher:
         return self._cache[key]
 
 
-def _student_agent_loss(
+def _agent_loss(
     pred: gm.TrajectoryGMM,
     teacher_pred: gm.TrajectoryGMM | None,
     gt: gm.Trajectory,
@@ -264,15 +219,77 @@ def _student_agent_loss(
     lam: int,
     rng: np.random.Generator,
 ) -> ls.LossBreakdown:
-    opts = cfg.distill_options()
     if cfg.method == "none":
         return ls.base_loss(pred, gt)
     assert teacher_pred is not None
+    opts = cfg.distill_options()
     if cfg.method == "set":
         return ls.combined_loss(pred, teacher_pred, gt, lam, opts)
     if cfg.method == "sample":
         return ls.distill_sample_loss(pred, teacher_pred, rng, opts)
     return ls.distill_distribution_loss(pred, teacher_pred, gt, opts)
+
+
+def _fit(
+    scenes: list[Scene],
+    params: md.ModelParams,
+    cfg: TrainConfig,
+    frozen: FrozenTeacher | None,
+    log: TrainLog | None,
+) -> TrainLog:
+    """The optimizer loop of both models: one scene per step, the mean
+    per-agent loss of its prediction targets, clipped Adam."""
+    log = log or TrainLog()
+    rng = np.random.default_rng(cfg.seed)
+    sample_rng = np.random.default_rng(cfg.seed + 1)
+    order = _scene_order(len(scenes), cfg.steps, rng)
+    state = AdamState()
+    for step, scene_idx in enumerate(order):
+        scene = scenes[scene_idx]
+        ids = [a.id for a in scene.prediction_targets() if a.future is not None]
+        lam = ls.lambda_schedule(step, cfg.steps, cfg.lambda_mode)
+        _zero_grads(params)
+        with dc.Tape() as tape:
+            preds = md.predict_scene(scene, ids, params)
+            if not preds:
+                continue
+            total = Tensor(0.0)
+            nll = ce = kl = 0.0
+            for aid, pred in preds.items():
+                tpred = frozen.predict(scene, aid) if frozen else None
+                lb = _agent_loss(pred, tpred, agent_frame_gt(scene, aid), cfg, lam, sample_rng)
+                total = total + lb.total
+                nll += float(lb.nll_term.data)
+                ce += float(lb.ce_term.data)
+                kl += float(lb.kl_term.data)
+            used = len(preds)
+            total = total * (1.0 / used)
+            tape.backward(total)
+        grads = _collect_grads(params)
+        norm = clip_global_norm(grads, cfg.clip_norm)
+        adam_step(params, grads, state, cfg)
+        log.append(
+            StepRecord(
+                step=step, scene_index=scene_idx, loss=float(total.data),
+                nll=nll / used, ce=ce / used, kl=kl / used, active_lambda=lam,
+                grad_norm=norm, n_agents=used,
+            )
+        )
+    log.close()
+    return log
+
+
+def train_teacher(
+    scenes: list[Scene],
+    params: md.ModelParams,
+    cfg: TrainConfig,
+    log: TrainLog | None = None,
+) -> TrainLog:
+    """Minimize the base mixture NLL over all prediction targets, one scene
+    per step: the ``none`` method at a constant lambda."""
+    if params.kind != "teacher":
+        raise ValueError("train_teacher requires teacher params")
+    return _fit(scenes, params, replace(cfg, method="none", lambda_mode="constant"), None, log)
 
 
 def distill_student(
@@ -301,46 +318,7 @@ def distill_student(
                 f"student T={params.config.horizon}"
             )
         frozen = FrozenTeacher(teacher)
-
-    log = log or TrainLog()
-    rng = np.random.default_rng(cfg.seed)
-    sample_rng = np.random.default_rng(cfg.seed + 1)
-    order = _scene_order(len(scenes), cfg.steps, rng)
-    state = AdamState()
-    for step, scene_idx in enumerate(order):
-        scene = scenes[scene_idx]
-        targets = [a for a in scene.prediction_targets() if a.future is not None]
-        lam = ls.lambda_schedule(step, cfg.steps, cfg.lambda_mode)
-        _zero_grads(params)
-        with dc.Tape() as tape:
-            enc = md.student_forward_scene(scene, params)
-            preds = md.student_decode(enc, scene, [a.id for a in targets], params)
-            if not preds:
-                continue
-            total = Tensor(0.0)
-            nll = ce = kl = 0.0
-            for aid, pred in preds.items():
-                tpred = frozen.predict(scene, aid) if frozen else None
-                lb = _student_agent_loss(pred, tpred, agent_frame_gt(scene, aid), cfg, lam, sample_rng)
-                total = total + lb.total
-                nll += float(lb.nll_term.data)
-                ce += float(lb.ce_term.data)
-                kl += float(lb.kl_term.data)
-            used = len(preds)
-            total = total * (1.0 / used)
-            tape.backward(total)
-        grads = _collect_grads(params)
-        norm = clip_global_norm(grads, cfg.clip_norm)
-        adam_step(params, grads, state, cfg)
-        log.append(
-            StepRecord(
-                step=step, scene_index=scene_idx, loss=float(total.data),
-                nll=nll / used, ce=ce / used, kl=kl / used, active_lambda=lam,
-                grad_norm=norm, n_agents=used,
-            )
-        )
-    log.close()
-    return log
+    return _fit(scenes, params, cfg, frozen, log)
 
 
 def predict_dataset(
@@ -356,11 +334,7 @@ def predict_dataset(
         ids = [a.id for a in scene.prediction_targets() if a.future is not None]
         if not ids:
             continue
-        if params.kind == "teacher":
-            out = {aid: md.teacher_forward(scene, aid, params) for aid in ids}
-        else:
-            out = md.student_decode(md.student_forward_scene(scene, params), scene, ids, params)
-        for aid, pred in out.items():
+        for aid, pred in md.predict_scene(scene, ids, params).items():
             preds.append(pred.detach())
             gts.append(agent_frame_gt(scene, aid))
     return preds, gts

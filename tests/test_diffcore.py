@@ -138,6 +138,59 @@ def test_max_tie_break_lowest_index():
     assert np.allclose(x.grad, [[1.0, 0.0], [0.0, 1.0]])
 
 
+def _scatter_max_pool_loop(points, cells, num_cells, g):
+    """Per-cell oracle: each cell's columnwise max, and the gradient ``g`` of
+    a cell's column routed to the lowest row attaining that max."""
+    n, e = points.shape
+    out = np.zeros((num_cells, e))
+    grad = np.zeros((n, e))
+    for c in range(num_cells):
+        rows = [i for i in range(n) if cells[i] == c]
+        for j in range(e):
+            if not rows:
+                continue
+            best = rows[0]
+            for i in rows[1:]:
+                if points[i, j] > points[best, j]:
+                    best = i
+            out[c, j] = points[best, j]
+            grad[best, j] = g[c, j]
+    return out, grad
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_scatter_max_pool_matches_per_cell_loop(seed):
+    """Tied maxima, cell ids in shuffled order and empty cells (0, 3, 6, 9,
+    11): forward and gradient equal the loop exactly."""
+    rng = np.random.default_rng(seed)
+    n, e, num_cells = 40, 5, 12
+    points = rng.integers(-2, 2, (n, e)).astype(float)  # 4 values: many ties
+    cells = rng.choice([1, 2, 4, 5, 7, 8, 10], n)
+    g = rng.standard_normal((num_cells, e))
+    want_out, want_grad = _scatter_max_pool_loop(points, cells, num_cells, g)
+    ties = [
+        np.sum(points[cells == c, j] == want_out[c, j]) > 1 for c in np.unique(cells) for j in range(e)
+    ]
+    assert sum(ties) >= 5
+    x = Tensor(points)
+    with Tape() as tape:
+        pooled = dc.scatter_max_pool(x, cells, num_cells)
+        tape.backward(dc.reduce_sum(dc.mul(pooled, Tensor(g))))
+    assert np.array_equal(pooled.data, want_out)
+    assert np.array_equal(x.grad, want_grad)
+    assert np.array_equal(dc.scatter_max_pool(points, cells, num_cells).data, want_out)
+    assert np.array_equal(want_out[[0, 3, 6, 9, 11]], np.zeros((5, e)))
+
+
+def test_scatter_max_pool_no_points():
+    x = Tensor(np.zeros((0, 3)))
+    with Tape() as tape:
+        pooled = dc.scatter_max_pool(x, np.zeros(0, dtype=np.intp), 4)
+        tape.backward(dc.reduce_sum(dc.square(pooled)))
+    assert np.array_equal(pooled.data, np.zeros((4, 3)))
+    assert x.grad.shape == (0, 3)
+
+
 def test_backward_deterministic():
     rng = np.random.default_rng(5)
     x0 = rng.standard_normal(6)

@@ -101,30 +101,6 @@ def test_mode_loglik_trivial_and_oracle():
         gm.mode_loglik(g2, 7, traj3)
 
 
-def test_gmm_loglik():
-    rng = np.random.default_rng(8)
-    g1 = make_gmm(rng, k=1)
-    traj = Trajectory(states=rng.uniform(-5, 5, (4, 2)))
-    assert np.isclose(gm.gmm_loglik(g1, traj), gm.mode_loglik(g1, 0, traj))
-
-    # identical modes + uniform weights -> equals either mode loglik
-    g2 = TrajectoryGMM(
-        means=np.repeat(g1.means, 2, axis=0),
-        cov_params=np.repeat(g1.cov_params, 2, axis=0),
-        logits=np.zeros(2),
-    )
-    assert np.isclose(gm.gmm_loglik(g2, traj), gm.mode_loglik(g1, 0, traj), atol=1e-12)
-
-    g3 = make_gmm(rng, k=3)
-    w = g3.weights()
-    brute = math.log(sum(w[k] * math.exp(gm.mode_loglik(g3, k, traj)) for k in range(3)))
-    assert np.isclose(gm.gmm_loglik(g3, traj), brute, atol=1e-9)
-
-    # dominance: loglik >= log pi_k + mode_loglik(k) for every k
-    for k in range(3):
-        assert gm.gmm_loglik(g3, traj) >= math.log(w[k]) + gm.mode_loglik(g3, k, traj) - 1e-12
-
-
 def test_closest_mode():
     t = 4
     traj = Trajectory(states=np.cumsum(np.ones((t, 2)), axis=0))

@@ -477,6 +477,37 @@ def test_student_decode_leaves_out_off_grid_agent():
         md.student_predict(scene, ids, params)
 
 
+def _assert_same_gmms(a, b):
+    assert list(a) == list(b)
+    for aid in a:
+        for field in ("means", "cov_params", "logits"):
+            assert np.array_equal(getattr(a[aid], field).data, getattr(b[aid], field).data), (aid, field)
+
+
+def test_predict_scene_teacher_equals_teacher_forward():
+    scene = _scene(8)
+    ids = [a.id for a in scene.prediction_targets()]
+    params = md.init_params(md.TeacherConfig(hidden=16), np.random.default_rng(0))
+    with dc.Tape() as tape:
+        out = md.predict_scene(scene, ids, params)
+    assert all(any(n is out[aid].means for n in tape.nodes) for aid in ids)
+    _assert_same_gmms(out, {aid: md.teacher_forward(scene, aid, params) for aid in ids})
+
+
+def test_predict_scene_student_equals_decode_and_leaves_out_off_grid_agent():
+    scene = _scene(8)
+    params = md.init_params(md.StudentConfig(grid_h=32, grid_w=32, cell_size=4.0), np.random.default_rng(0))
+    ids = [a.id for a in scene.agents]
+    off = ids[len(ids) // 2]
+    scene.agent_by_id(off).history[-1, 0] = 500.0
+    with dc.Tape() as tape:
+        out = md.predict_scene(scene, ids, params)
+    assert list(out) == [aid for aid in ids if aid != off]
+    assert all(any(n is pred.means for n in tape.nodes) for pred in out.values())
+    enc = md.student_forward_scene(scene, params)
+    _assert_same_gmms(out, md.student_decode(enc, scene, ids, params))
+
+
 def test_student_grid_shift_equivariance():
     """Translating the scene by exactly one cell shifts interior grid features."""
     cfg = md.StudentConfig(grid_h=32, grid_w=32, cell_size=2.0, conv_channels=(16,), pillar_embed=16)
