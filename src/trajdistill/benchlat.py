@@ -1,10 +1,11 @@
 """Latency benchmarking and scaling-law fits for full-scene inference.
 
 Timings use synthetic scenes with exactly (n agents, m road polylines),
-3 warmup runs, then the median of >= 5 timed repetitions. The harness is
-meant to run single-threaded: the command line entry point pins the BLAS
-thread pools via environment variables before numpy is imported; callers
-embedding this module should do the same if they want comparable numbers.
+3 warmup runs per size, then the median of >= 5 timed repetitions, taken
+round-robin over the sizes. The harness is meant to run single-threaded:
+the command line entry point pins the BLAS thread pools via environment
+variables before numpy is imported; callers embedding this module should
+do the same if they want comparable numbers.
 """
 
 from __future__ import annotations
@@ -84,28 +85,29 @@ def run_bench(
         raise ValueError("reps must be >= 5 for stable percentiles")
     if kind != params.kind:
         raise ValueError(f"model kind {kind!r} does not match the {params.kind} params")
-    points = []
-    for n, m in sizes:
-        scene = bench_scene(n, m, np.random.default_rng(seed + 1000 * n + m))
-        ids = [a.id for a in scene.agents]
+    scenes = [bench_scene(n, m, np.random.default_rng(seed + 1000 * n + m)) for n, m in sizes]
+    ids = [[a.id for a in scene.agents] for scene in scenes]
+    for scene, scene_ids in zip(scenes, ids):
         for _ in range(warmup):
-            md.predict_scene(scene, ids, params)
-        samples = []
-        for _ in range(reps):
+            md.predict_scene(scene, scene_ids, params)
+    # round-robin: each repetition times every size once, so a drift in the
+    # host's speed lands on all sizes alike instead of on one size's block
+    samples = np.zeros((reps, len(sizes)))
+    for r in range(reps):
+        for j, (scene, scene_ids) in enumerate(zip(scenes, ids)):
             t0 = time.perf_counter()
-            md.predict_scene(scene, ids, params)
-            samples.append(time.perf_counter() - t0)
-        samples = np.array(samples)
-        points.append(
-            BenchPoint(
-                model=kind, n_agents=n, m_road=m,
-                median_s=float(np.median(samples)),
-                p10_s=float(np.percentile(samples, 10)),
-                p90_s=float(np.percentile(samples, 90)),
-                flops=md.count_flops(kind, n, m, params.config),
-            )
+            md.predict_scene(scene, scene_ids, params)
+            samples[r, j] = time.perf_counter() - t0
+    return [
+        BenchPoint(
+            model=kind, n_agents=n, m_road=m,
+            median_s=float(np.median(samples[:, j])),
+            p10_s=float(np.percentile(samples[:, j], 10)),
+            p90_s=float(np.percentile(samples[:, j], 90)),
+            flops=md.count_flops(kind, n, m, params.config),
         )
-    return points
+        for j, (n, m) in enumerate(sizes)
+    ]
 
 
 def fit_scaling(sizes: np.ndarray, times: np.ndarray, top_half: bool = True) -> tuple[float, float]:

@@ -1,12 +1,20 @@
 """Command line front end.
 
-Subcommands: gen, train, distill, eval, bench. Exit codes: 0 success,
-2 usage or configuration error, 3 I/O error, 4 semantic error (incompatible
-models, malformed datasets or checkpoints, and similar).
+Subcommands: gen, train, distill, eval, bench. ``train`` and ``distill`` run
+one command body; ``distill`` trains the student and may name a teacher.
 
-JSON config files must carry ``schema_version`` = 1; unknown keys are
-rejected rather than ignored. Every long-running command writes a run
-manifest (<out>.run.json) describing the invocation before work starts.
+Exit codes are chosen in one place, ``main``, by one rule: 0 success; 2 a
+usage or configuration error (``UsageError``); 3 an I/O error, that is any
+``OSError`` or a ``ValueError`` caused by one (a missing or unreadable
+checkpoint), so a missing file or a directory where a file is expected is an
+I/O error (3); 4 any other ``ValueError``, a semantic error (incompatible
+models, a malformed dataset or checkpoint, a model driven to a non-finite
+value). Loaders raise nothing else for bad input.
+
+JSON config files must carry ``schema_version`` = 1; unknown keys and values
+of the wrong JSON type are rejected rather than ignored. Every long-running
+command writes a run manifest (<out>.run.json) describing the invocation
+before work starts.
 
 Thread count is controlled by the TDISTILL_THREADS environment variable
 (default: leave the BLAS defaults alone); ``bench`` always pins itself to a
@@ -21,7 +29,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import fields
+from dataclasses import asdict
 
 CONFIG_SCHEMA_VERSION = 1
 MANIFEST_SCHEMA_VERSION = 1
@@ -43,10 +51,6 @@ class UsageError(Exception):
     pass
 
 
-class IOFailure(Exception):
-    pass
-
-
 def _pin_threads(force_single: bool = False) -> None:
     n = "1" if force_single else os.environ.get("TDISTILL_THREADS")
     if n is None:
@@ -59,54 +63,37 @@ def _pin_threads(force_single: bool = False) -> None:
 
 def _load_config(path: str | None, cls, overrides: dict) -> object:
     """Build a dataclass config from an optional JSON file plus CLI overrides."""
+    from . import train as tr
+
     values: dict = {}
     if path is not None:
-        try:
-            with open(path) as fh:
-                raw = json.load(fh)
-        except OSError as exc:
-            raise IOFailure(f"cannot read config {path}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise UsageError(f"config {path} is not valid JSON: {exc}") from exc
-        if not isinstance(raw, dict):
+        with open(path) as fh:
+            try:
+                values = json.load(fh)
+            except ValueError as exc:
+                raise UsageError(f"config {path} is not valid JSON: {exc}") from exc
+        if not isinstance(values, dict):
             raise UsageError(f"config {path} must be a JSON object")
-        version = raw.pop("schema_version", None)
+        version = values.pop("schema_version", None)
         if version != CONFIG_SCHEMA_VERSION:
             raise UsageError(
                 f"config {path}: schema_version must be {CONFIG_SCHEMA_VERSION}, got {version!r}"
             )
-        known = {f.name for f in fields(cls)}
-        unknown = sorted(set(raw) - known)
-        if unknown:
-            raise UsageError(f"config {path}: unknown keys {unknown}")
-        values.update(raw)
     values.update({k: v for k, v in overrides.items() if v is not None})
-    if "conv_channels" in values and isinstance(values["conv_channels"], list):
-        values["conv_channels"] = tuple(values["conv_channels"])
     try:
-        return cls(**values)
-    except (TypeError, ValueError) as exc:
-        raise UsageError(f"invalid configuration: {exc}") from exc
+        return tr.config_from_dict(cls, values)
+    except ValueError as exc:
+        raise UsageError(f"invalid {cls.__name__}: {exc}") from exc
 
 
 def _dataset_hash(path: str) -> str:
     import hashlib
 
     h = hashlib.sha256()
-    try:
-        with open(path, "rb") as fh:
-            for chunk in iter(lambda: fh.read(1 << 20), b""):
-                h.update(chunk)
-    except OSError as exc:
-        raise IOFailure(f"cannot hash dataset {path}: {exc}") from exc
+    with open(path, "rb") as fh:
+        for chunk in iter(lambda: fh.read(1 << 20), b""):
+            h.update(chunk)
     return h.hexdigest()
-
-
-def _config_jsonable(cfg) -> dict:
-    from dataclasses import asdict
-
-    d = asdict(cfg)
-    return {k: (list(v) if isinstance(v, tuple) else v) for k, v in d.items()}
 
 
 def _write_manifest(out_prefix: str, command: str, payload: dict) -> str:
@@ -121,35 +108,10 @@ def _write_manifest(out_prefix: str, command: str, payload: dict) -> str:
         **payload,
     }
     path = out_prefix + ".run.json"
-    try:
-        with open(path, "w") as fh:
-            json.dump(manifest, fh, sort_keys=True, indent=1)
-            fh.write("\n")
-    except OSError as exc:
-        raise IOFailure(f"cannot write run manifest {path}: {exc}") from exc
+    with open(path, "w") as fh:
+        json.dump(manifest, fh, sort_keys=True, indent=1)
+        fh.write("\n")
     return path
-
-
-def _load_scenes(path: str):
-    from . import scenegen as sg
-
-    try:
-        return sg.load_dataset(path)
-    except OSError as exc:
-        raise IOFailure(f"cannot read dataset {path}: {exc}") from exc
-
-
-def _load_params(prefix: str):
-    from . import train as tr
-
-    try:
-        return tr.load_checkpoint(prefix)
-    except tr.CheckpointError as exc:
-        if isinstance(exc.__cause__, OSError):
-            raise IOFailure(f"cannot read checkpoint {prefix}: {exc.__cause__}") from exc
-        raise
-    except OSError as exc:
-        raise IOFailure(f"cannot read checkpoint {prefix}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -163,16 +125,11 @@ def _cmd_gen(args) -> int:
         args.config, sg.GenConfig,
         {"num_scenes": args.num_scenes, "seed": args.seed},
     )
-    from dataclasses import asdict
-
     _write_manifest(
         args.out, "gen",
         {"seed": cfg.seed, "config": asdict(cfg), "artifacts": [args.out]},
     )
-    try:
-        sg.write_dataset(cfg, args.out)
-    except OSError as exc:
-        raise IOFailure(f"cannot write dataset {args.out}: {exc}") from exc
+    sg.write_dataset(cfg, args.out)
     scenes = sg.load_dataset(args.out)
     targets = multimodal = 0
     for scene in scenes:
@@ -189,47 +146,13 @@ def _cmd_gen(args) -> int:
     return EXIT_OK
 
 
-def _cmd_train(args) -> int:
-    from dataclasses import asdict
-
+def _cmd_fit(args) -> int:
+    """``train`` and ``distill``: the teacher trains on the base objective,
+    the student on the configured method, against ``--teacher`` if given."""
     import numpy as np
 
     from . import models as md
-    from . import train as tr
-
-    cfg = _load_config(
-        args.config, tr.TrainConfig,
-        {"steps": args.steps, "seed": args.seed, "lr": args.lr, "clip_norm": args.clip_norm},
-    )
-    cfg_cls = md.TeacherConfig if args.model == "teacher" else md.StudentConfig
-    model_cfg = _load_config(args.model_config, cfg_cls, {"num_modes": args.k})
-    scenes = _load_scenes(args.data)
-    _write_manifest(
-        args.out, "train",
-        {
-            "seed": cfg.seed, "model": args.model, "config": asdict(cfg),
-            "model_config": _config_jsonable(model_cfg), "data": args.data,
-            "dataset_sha256": _dataset_hash(args.data),
-            "artifacts": [args.out + ".manifest.json", args.out + ".weights.bin"],
-        },
-    )
-    params = md.init_params(model_cfg, np.random.default_rng(cfg.seed))
-    log = tr.TrainLog(args.log) if args.log else None
-    if args.model == "teacher":
-        log = tr.train_teacher(scenes, params, cfg, log=log)
-    else:
-        log = tr.distill_student(scenes, params, cfg, log=log)
-    tr.save_checkpoint(params, args.out)
-    print(
-        f"trained {args.model} for {cfg.steps} steps; final loss {log.records[-1].loss:.4f}"
-    )
-    return EXIT_OK
-
-
-def _cmd_distill(args) -> int:
-    import numpy as np
-
-    from . import models as md
+    from . import scenegen as sg
     from . import train as tr
 
     cfg = _load_config(
@@ -240,35 +163,39 @@ def _cmd_distill(args) -> int:
             "lambda_mode": args.lambda_mode,
         },
     )
-    model_cfg = _load_config(args.model_config, md.StudentConfig, {"num_modes": args.k})
-    scenes = _load_scenes(args.data)
-    teacher = _load_params(args.teacher) if args.teacher else None
+    cfg_cls = md.TeacherConfig if args.model == "teacher" else md.StudentConfig
+    model_cfg = _load_config(args.model_config, cfg_cls, {"num_modes": args.k})
+    scenes = sg.load_dataset(args.data)
+    teacher = tr.load_checkpoint(args.teacher) if args.teacher else None
     _write_manifest(
-        args.out, "distill",
+        args.out, args.command,
         {
-            "seed": cfg.seed, "method": cfg.method, "config": _config_jsonable(cfg),
-            "model_config": _config_jsonable(model_cfg), "data": args.data,
+            "seed": cfg.seed, "model": args.model, "method": cfg.method,
+            "config": asdict(cfg), "model_config": asdict(model_cfg), "data": args.data,
             "teacher": args.teacher, "dataset_sha256": _dataset_hash(args.data),
             "artifacts": [args.out + ".manifest.json", args.out + ".weights.bin"],
         },
     )
     params = md.init_params(model_cfg, np.random.default_rng(cfg.seed))
     log = tr.TrainLog(args.log) if args.log else None
-    log = tr.distill_student(scenes, params, cfg, teacher=teacher, log=log)
+    if args.model == "teacher":
+        log = tr.train_teacher(scenes, params, cfg, log=log)
+    else:
+        log = tr.distill_student(scenes, params, cfg, teacher=teacher, log=log)
+    if not log.records:
+        raise ValueError("no training step had a predictable agent")
     tr.save_checkpoint(params, args.out)
-    print(
-        f"distilled student ({cfg.method}) for {cfg.steps} steps; "
-        f"final loss {log.records[-1].loss:.4f}"
-    )
+    print(f"trained {args.model} for {cfg.steps} steps; final loss {log.records[-1].loss:.4f}")
     return EXIT_OK
 
 
 def _cmd_eval(args) -> int:
     from . import metrics as mt
+    from . import scenegen as sg
     from . import train as tr
 
-    params = _load_params(args.ckpt)
-    scenes = _load_scenes(args.data)
+    params = tr.load_checkpoint(args.ckpt)
+    scenes = sg.load_dataset(args.data)
     preds, gts = tr.predict_dataset(scenes, params)
     if not preds:
         raise ValueError("no predictable agents in the dataset")
@@ -276,10 +203,7 @@ def _cmd_eval(args) -> int:
         preds, gts, k=args.k, run_id=args.run_id, dataset=os.path.basename(args.data),
         model=params.kind, method=args.method,
     )
-    try:
-        mt.write_csv(args.out, [report])
-    except OSError as exc:
-        raise IOFailure(f"cannot write metrics {args.out}: {exc}") from exc
+    mt.write_csv(args.out, [report])
     print(
         f"minADE {report.min_ade:.4f}  minFDE {report.min_fde:.4f}  "
         f"MR {report.miss_rate:.4f}  mAP {report.mean_ap:.4f}  (n={report.n_agents})"
@@ -321,12 +245,9 @@ def _cmd_bench(args) -> int:
             cfg = md.StudentConfig()
         params = md.init_params(cfg, np.random.default_rng(args.seed))
         points.extend(bl.run_bench(kind, params, sizes, reps=args.reps, seed=args.seed))
-    try:
-        bl.write_bench_csv(points, args.out)
-        if args.svg:
-            bl.render_scaling_svg(points, args.svg)
-    except OSError as exc:
-        raise IOFailure(f"cannot write bench output: {exc}") from exc
+    bl.write_bench_csv(points, args.out)
+    if args.svg:
+        bl.render_scaling_svg(points, args.svg)
     for p in points:
         print(f"{p.model} n={p.n_agents} m={p.m_road} median {p.median_s * 1e3:.2f} ms")
     return EXIT_OK
@@ -362,7 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", default=None, help="JSON training config")
     p.add_argument("--model-config", default=None, help="JSON model config")
     p.add_argument("--log", default=None, help="JSON-lines step log path")
-    p.set_defaults(func=_cmd_train)
+    p.set_defaults(func=_cmd_fit, teacher=None, method=None, lambda_mode=None)
 
     p = sub.add_parser("distill", help="train the scene-centric student")
     p.add_argument("--data", required=True)
@@ -380,7 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", default=None, help="JSON training config")
     p.add_argument("--model-config", default=None, help="JSON student model config")
     p.add_argument("--log", default=None)
-    p.set_defaults(func=_cmd_distill)
+    p.set_defaults(func=_cmd_fit, model="student")
 
     p = sub.add_parser("eval", help="evaluate a checkpoint on a dataset")
     p.add_argument("--data", required=True)
@@ -413,17 +334,13 @@ def main(argv: list[str] | None = None) -> int:
     _pin_threads(force_single=args.command == "bench")
     try:
         return args.func(args)
-    except UsageError as exc:
+    except (UsageError, OSError, ValueError) as exc:
+        # the one map from a failure to an exit code (see the module docstring)
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except IOFailure as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        if isinstance(exc, UsageError):
+            return EXIT_USAGE
+        if isinstance(exc, OSError) or isinstance(exc.__cause__, OSError):
+            return EXIT_IO
         return EXIT_SEMANTIC
 
 

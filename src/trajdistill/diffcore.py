@@ -37,7 +37,7 @@ import numpy as np
 DEFAULT_DTYPE = np.float64
 
 
-class DiffError(Exception):
+class DiffError(ValueError):
     pass
 
 

@@ -34,24 +34,6 @@ class Pose2:
             raise ValueError(f"non-finite pose position: ({self.x}, {self.y})")
         object.__setattr__(self, "heading", normalize_angle(self.heading))
 
-    @staticmethod
-    def identity() -> "Pose2":
-        return Pose2(0.0, 0.0, 0.0)
-
-    def inverse(self) -> "Pose2":
-        c, s = math.cos(self.heading), math.sin(self.heading)
-        return Pose2(-(c * self.x + s * self.y), -(-s * self.x + c * self.y), -self.heading)
-
-
-def compose(a: Pose2, b: Pose2) -> Pose2:
-    """SE(2) composition a*b (apply b in a's frame)."""
-    c, s = math.cos(a.heading), math.sin(a.heading)
-    return Pose2(
-        a.x + c * b.x - s * b.y,
-        a.y + s * b.x + c * b.y,
-        a.heading + b.heading,
-    )
-
 
 def _check_points(pts: np.ndarray) -> np.ndarray:
     pts = np.asarray(pts, dtype=np.float64)
@@ -82,12 +64,4 @@ def agent_to_world(anchor: Pose2, pts: np.ndarray) -> np.ndarray:
     c, s = math.cos(anchor.heading), math.sin(anchor.heading)
     rot = np.array([[c, -s], [s, c]])
     return pts @ rot.T + np.array([anchor.x, anchor.y])
-
-
-def rotate(theta: float, pts: np.ndarray) -> np.ndarray:
-    """Rotate points about the origin by theta radians."""
-    pts = _check_points(pts)
-    c, s = math.cos(theta), math.sin(theta)
-    rot = np.array([[c, -s], [s, c]])
-    return pts @ rot.T
 

@@ -35,7 +35,7 @@ agent, or one student encode and batched decode.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -100,6 +100,8 @@ class StudentConfig:
             raise ValueError("grid smaller than decode patch")
         if self.num_modes < 1 or self.horizon < 1:
             raise ValueError("num_modes and horizon must be positive")
+        if self.cell_size <= 0:
+            raise ValueError("cell_size must be positive")
 
 
 @dataclass
@@ -108,7 +110,6 @@ class ModelParams:
     config: TeacherConfig | StudentConfig
     buffers: dict[str, Tensor]
     schema_version: int = PARAMS_SCHEMA_VERSION
-    stats: dict = field(default_factory=dict)
 
     def num_params(self) -> int:
         return sum(t.data.size for t in self.buffers.values())
@@ -440,7 +441,6 @@ def _raster_points(scene: Scene, cfg: StudentConfig) -> tuple[np.ndarray, np.nda
 def student_forward_scene(scene: Scene, params: ModelParams) -> SceneEncoding:
     """Rasterize and encode the whole scene once (agent-count independent)."""
     cfg: StudentConfig = params.config
-    params.stats["scene_encodes"] = params.stats.get("scene_encodes", 0) + 1
     feats, cells = _raster_points(scene, cfg)
     num_cells = cfg.grid_h * cfg.grid_w
     if len(feats):

@@ -37,8 +37,8 @@ class RoadPolyline:
 
     def __post_init__(self):
         self.points = np.asarray(self.points, dtype=np.float64)
-        if self.points.shape[0] < 2:
-            raise ValueError(f"polyline {self.id}: needs >= 2 points")
+        if self.points.ndim != 2 or self.points.shape[1] != 2 or self.points.shape[0] < 2:
+            raise ValueError(f"polyline {self.id}: needs >= 2 (x, y) points")
         if not np.all(np.isfinite(self.points)):
             raise ValueError(f"polyline {self.id}: non-finite points")
         if np.any(np.all(np.diff(self.points, axis=0) == 0.0, axis=1)):
@@ -126,6 +126,8 @@ class GenConfig:
             raise ValueError("noise sigmas must be >= 0")
         if not self.arm_choices or any(a < 2 for a in self.arm_choices):
             raise ValueError("arm_choices must contain counts >= 2")
+        if self.history_len < 1:
+            raise ValueError("history_len must be positive")
 
 
 def _unit(theta: float) -> np.ndarray:
@@ -325,7 +327,7 @@ def generate_scene(cfg: GenConfig, scene_index: int) -> Scene:
         else:
             feas = inter.feasible_arms(arm)
             labels = [l for l in INTENT_LABELS if l in feas or l == "stop"]
-            weights = np.array([cfg.intent_prior[l] for l in labels])
+            weights = np.array([cfg.intent_prior.get(l, 0.0) for l in labels])
             if arm not in green_arms:
                 weights[labels.index("stop")] *= cfg.red_stop_boost
             probs = weights / weights.sum()
@@ -445,49 +447,65 @@ def scene_to_record(scene: Scene) -> dict:
     }
 
 
+def _expect(value, types: tuple, what: str):
+    """``value`` if it is one of the JSON ``types`` (a bool is not a number)."""
+    if isinstance(value, bool) or not isinstance(value, types):
+        raise ValueError(f"{what} must be {' or '.join(t.__name__ for t in types)}, got {value!r}")
+    return value
+
+
 def record_to_scene(rec: dict) -> Scene:
+    """Parse one scene record. A malformed record raises ValueError, or
+    KeyError/TypeError for a missing or non-container field."""
     if rec.get("schema_version") != SCHEMA_VERSION:
         raise ValueError(f"unsupported schema_version {rec.get('schema_version')} (expected {SCHEMA_VERSION})")
-    hist_len = rec["history_len"]
+    hist_len = _expect(rec["history_len"], (int,), "history_len")
+    future_len = _expect(rec["future_len"], (int,), "future_len")
     agents = []
     for a in rec["agents"]:
+        aid = _expect(a["id"], (str,), "agent id")
         hist = np.array(
             [[h["x"], h["y"], h["heading"], h["vx"], h["vy"], 1.0 if h["valid"] else 0.0] for h in a["history"]]
         )
         if hist.shape[0] != hist_len:
-            raise ValueError(f"agent {a['id']}: history length {hist.shape[0]} != {hist_len}")
+            raise ValueError(f"agent {aid}: history length {hist.shape[0]} != {hist_len}")
         intent = a.get("intent")
         future = np.array(a["future"]) if a.get("future") is not None else None
         if a["is_prediction_target"]:
-            if future is None or future.shape[0] != rec["future_len"]:
-                raise ValueError(f"agent {a['id']}: prediction target lacks a full future")
+            if future is None or future.shape[:1] != (future_len,):
+                raise ValueError(f"agent {aid}: prediction target lacks a full future")
             if not hist[-1, 5]:
-                raise ValueError(f"agent {a['id']}: prediction target must be valid at the last step")
+                raise ValueError(f"agent {aid}: prediction target must be valid at the last step")
         agents.append(
             AgentTrack(
-                id=a["id"],
+                id=aid,
                 history=hist,
                 future=future,
                 is_prediction_target=a["is_prediction_target"],
                 intent_labels=list(intent["labels"]) if intent else None,
                 intent_probs=np.array(intent["probs"]) if intent else None,
                 realized_intent=a.get("realized_intent"),
-                length=a.get("length", 4.5),
-                width=a.get("width", 2.0),
+                length=_expect(a.get("length", 4.5), (int, float), f"agent {aid}: length"),
+                width=_expect(a.get("width", 2.0), (int, float), f"agent {aid}: width"),
             )
         )
     scene = Scene(
-        scene_id=rec["scene_id"],
+        scene_id=_expect(rec["scene_id"], (str,), "scene_id"),
         history_len=hist_len,
-        future_len=rec["future_len"],
+        future_len=future_len,
         roadgraph=[
-            RoadPolyline(p["id"], p["kind"], np.array(p["points"]), p["speed_limit_mps"])
+            RoadPolyline(
+                p["id"], p["kind"], np.array(p["points"]),
+                _expect(p["speed_limit_mps"], (int, float), f"polyline {p['id']}: speed_limit_mps"),
+            )
             for p in rec["roadgraph"]
         ],
         signals=[TrafficSignal(s["id"], np.array(s["position"]), list(s["states"])) for s in rec["signals"]],
         agents=agents,
     )
     for s in scene.signals:
+        if s.position.shape != (2,):
+            raise ValueError(f"signal {s.id}: position must be an (x, y) point")
         if len(s.states) != hist_len:
             raise ValueError(f"signal {s.id}: states length {len(s.states)} != {hist_len}")
     return scene
@@ -526,6 +544,8 @@ def read_dataset(path: str):
                 rec = json.loads(line)
             except json.JSONDecodeError as e:
                 raise ValueError(f"{path}:{lineno}: malformed JSON line: {e}") from e
+            if not isinstance(rec, dict):
+                raise ValueError(f"{path}:{lineno}: expected a JSON object, got {type(rec).__name__}")
             if rec.get("schema_version") != SCHEMA_VERSION:
                 raise ValueError(
                     f"{path}:{lineno}: unsupported schema_version {rec.get('schema_version')}"

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -66,6 +66,44 @@ class TrainConfig:
             kl_reverse=self.kl_reverse,
             sample_mode_only=self.sample_mode_only,
         )
+
+
+def _json_matches(value, default) -> bool:
+    """Whether decoded JSON ``value`` has the type of the field default: a
+    float also takes an int, a bool is not a number, and a tuple is given as
+    a list whose items each match the default's first item."""
+    if isinstance(value, bool) or isinstance(default, bool):
+        return type(value) is type(default)
+    if isinstance(default, float):
+        return isinstance(value, (int, float))
+    if isinstance(default, tuple):
+        return isinstance(value, list) and all(_json_matches(v, default[0]) for v in value)
+    return type(value) is type(default)
+
+
+def config_from_dict(cls, values):
+    """Build the config dataclass ``cls`` (TrainConfig, GenConfig, TeacherConfig,
+    StudentConfig) from decoded JSON, for config files and checkpoint
+    manifests alike; a missing key takes the field default.
+
+    Raises ValueError for a non-object, an unknown key, a value whose JSON
+    type differs from the field default's, or a config ``cls`` rejects.
+    """
+    if not isinstance(values, dict):
+        raise ValueError(f"expected a JSON object, got {type(values).__name__}")
+    defaults = {
+        f.name: f.default_factory() if f.default is MISSING else f.default for f in fields(cls)
+    }
+    unknown = sorted(set(values) - set(defaults))
+    if unknown:
+        raise ValueError(f"unknown keys {unknown}")
+    for key, value in values.items():
+        if not _json_matches(value, defaults[key]):
+            raise ValueError(f"{key} must be like {defaults[key]!r}, got {value!r}")
+    try:
+        return cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in values.items()})
+    except TypeError as exc:
+        raise ValueError(str(exc)) from exc
 
 
 # ---------------------------------------------------------------------------
@@ -344,14 +382,6 @@ def predict_dataset(
 # checkpoints
 
 
-def _config_dict(params: md.ModelParams) -> dict:
-    d = asdict(params.config)
-    for k, v in d.items():
-        if isinstance(v, tuple):
-            d[k] = list(v)
-    return d
-
-
 def save_checkpoint(params: md.ModelParams, prefix: str) -> tuple[str, str]:
     """Write <prefix>.manifest.json and <prefix>.weights.bin."""
     entries = [
@@ -360,7 +390,7 @@ def save_checkpoint(params: md.ModelParams, prefix: str) -> tuple[str, str]:
     manifest = {
         "schema_version": CHECKPOINT_SCHEMA_VERSION,
         "kind": params.kind,
-        "config": _config_dict(params),
+        "config": asdict(params.config),
         "tensors": entries,
     }
     man_path = prefix + ".manifest.json"
@@ -378,13 +408,14 @@ def save_checkpoint(params: md.ModelParams, prefix: str) -> tuple[str, str]:
 
 def load_checkpoint(prefix: str) -> md.ModelParams:
     """Read a checkpoint; every malformed manifest or weights file raises
-    CheckpointError (an unreadable manifest chains the OSError behind it)."""
+    CheckpointError (an unreadable manifest chains the OSError behind it),
+    and a weights file that cannot be read raises its OSError."""
     man_path = prefix + ".manifest.json"
     bin_path = prefix + ".weights.bin"
     try:
         with open(man_path) as fh:
             manifest = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         raise CheckpointError(f"unreadable manifest {man_path}: {exc}") from exc
     if not isinstance(manifest, dict):
         raise CheckpointError(f"manifest {man_path} is not a JSON object")
@@ -395,22 +426,17 @@ def load_checkpoint(prefix: str) -> md.ModelParams:
     kind = manifest.get("kind")
     if kind not in ("teacher", "student"):
         raise CheckpointError(f"unknown model kind in manifest: {kind!r}")
-    cfg_dict = manifest.get("config", {})
-    if not isinstance(cfg_dict, dict):
-        raise CheckpointError("manifest config is not a JSON object")
+    config_cls = md.TeacherConfig if kind == "teacher" else md.StudentConfig
     try:
-        if kind == "teacher":
-            config = md.TeacherConfig(**cfg_dict)
-        else:
-            if "conv_channels" in cfg_dict:
-                cfg_dict["conv_channels"] = tuple(cfg_dict["conv_channels"])
-            config = md.StudentConfig(**cfg_dict)
-    except (TypeError, ValueError) as exc:
+        config = config_from_dict(config_cls, manifest.get("config", {}))
+    except ValueError as exc:
         raise CheckpointError(f"invalid {kind} config in manifest: {exc}") from exc
     try:
         entries = [(str(entry["name"]), tuple(entry["shape"])) for entry in manifest["tensors"]]
     except (TypeError, KeyError) as exc:
         raise CheckpointError(f"manifest has no valid tensor list: {exc!r}") from exc
+    if any(type(d) is not int for _, shape in entries for d in shape):
+        raise CheckpointError("manifest tensor shapes must be lists of integers")
     expected = dict(md._teacher_shapes(config) if kind == "teacher" else md._student_shapes(config))
     if dict(entries) != expected or len(entries) != len(expected):
         raise CheckpointError("manifest tensors do not match the model architecture")

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from trajdistill.geom import Pose2, agent_to_world, compose, normalize_angle, world_to_agent
+from trajdistill.geom import Pose2, agent_to_world, normalize_angle, world_to_agent
 
 
 def test_identity_pose_is_noop():
@@ -44,22 +44,6 @@ def test_isometry_property():
         d_in = np.linalg.norm(pts[:, None] - pts[None, :], axis=-1)
         d_out = np.linalg.norm(out[:, None] - out[None, :], axis=-1)
         assert np.max(np.abs(d_in - d_out)) < 1e-9
-
-
-def test_compose_identity_and_translation():
-    b = Pose2(2.0, -1.0, 0.3)
-    out = compose(Pose2.identity(), b)
-    assert (out.x, out.y, out.heading) == (b.x, b.y, b.heading)
-    out2 = compose(Pose2(1, 0, 0), Pose2(1, 0, 0))
-    assert np.allclose([out2.x, out2.y, out2.heading], [2, 0, 0])
-
-
-def test_compose_inverse_property():
-    rng = np.random.default_rng(3)
-    for _ in range(500):
-        a = Pose2(*rng.uniform(-20, 20, 2), rng.uniform(-math.pi, math.pi))
-        e = compose(a, a.inverse())
-        assert abs(e.x) < 1e-12 and abs(e.y) < 1e-12 and abs(e.heading) < 1e-12
 
 
 def test_heading_normalization_idempotent():

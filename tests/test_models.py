@@ -344,12 +344,15 @@ def test_raster_points_match_per_point_loop(case):
 # student contracts
 
 
-def test_student_encode_once_counter():
+def test_student_encode_once_counter(monkeypatch):
     scene = _scene(8)
     params = md.init_params(md.StudentConfig(), np.random.default_rng(0))
     ids = [a.id for a in scene.prediction_targets()]
+    encode = md.student_forward_scene
+    calls = []
+    monkeypatch.setattr(md, "student_forward_scene", lambda *a: calls.append(1) or encode(*a))
     preds = md.student_predict(scene, ids, params)
-    assert params.stats["scene_encodes"] == 1
+    assert len(calls) == 1
     assert set(preds) == set(ids)
 
 
