@@ -185,7 +185,10 @@ def _cmd_fit(args) -> int:
     if not log.records:
         raise ValueError("no training step had a predictable agent")
     tr.save_checkpoint(params, args.out)
-    print(f"trained {args.model} for {cfg.steps} steps; final loss {log.records[-1].loss:.4f}")
+    print(
+        f"trained {args.model} for {len(log.records)} steps, skipped {cfg.steps - len(log.records)} "
+        f"with no target to predict; final loss {log.records[-1].loss:.4f}"
+    )
     return EXIT_OK
 
 

@@ -21,8 +21,7 @@ Design notes:
   * Every op checks its output for non-finite values and raises immediately,
     which keeps failures close to their cause during training. The check
     reads one sum of squares and scans elementwise only when that is not
-    finite. ``unstack`` is the exception: its rows are parts of a tensor
-    already checked.
+    finite.
 """
 
 from __future__ import annotations
@@ -173,17 +172,13 @@ def _accum(t: Tensor, g: np.ndarray) -> None:
 
 
 def _make(data: np.ndarray, parents: tuple, backward: Callable | None, op: str) -> Tensor:
+    """Wrap a finite op result; append it to the active tape, if any."""
     # fast path: the sum of squares is non-finite when any element is, and
     # when finite squares overflow, which the exact check then clears; vdot,
     # unlike sum, skips numpy's floating-point error handling, so such an
     # overflow warns nothing
     if not math.isfinite(np.vdot(data, data)) and not np.all(np.isfinite(data)):
         raise NonFiniteError(f"op '{op}' produced non-finite values")
-    return _record(data, parents, backward, op)
-
-
-def _record(data: np.ndarray, parents: tuple, backward: Callable | None, op: str) -> Tensor:
-    """Wrap an op result; append it to the active tape, if any."""
     out = Tensor.__new__(Tensor)
     out.data = data
     out.grad = None
@@ -345,22 +340,6 @@ def reshape(t, shape) -> Tensor:
         _accum(t, g.reshape(t.data.shape))
 
     return _make(data, (t,), backward, "reshape")
-
-
-def unstack(t) -> list[Tensor]:
-    """Split along axis 0: one tensor per row, each a view of row i."""
-    t = as_tensor(t)
-
-    def row_backward(i):
-        def backward(g):
-            if t.grad is None:
-                t.grad = np.zeros_like(t.data)
-            t.grad[i] += g
-
-        return backward
-
-    # no finiteness re-check: unstack splits op outputs, which _make has checked
-    return [_record(row, (t,), row_backward(i), "unstack") for i, row in enumerate(t.data)]
 
 
 def _unary(t, fn, dfn, op):

@@ -5,6 +5,10 @@ categorical confidence over modes. Covariances are parameterized as
 (log_sigma_x, log_sigma_y, rho_raw) with rho = tanh(rho_raw), which keeps the
 matrix positive definite for any unconstrained values.
 
+A ``Trajectory`` or ``TrajectoryGMM`` holds one agent or a stack of n along a
+leading axis, and every function here works row by row over it; ``stack``
+builds a stack, ``rows`` splits one into detached single agents.
+
 Functions here accept either numpy arrays or diffcore Tensors; when given
 Tensors they are differentiable end to end.
 """
@@ -27,45 +31,46 @@ LOG_2PI = math.log(2.0 * math.pi)
 
 @dataclass
 class Trajectory:
-    """A (possibly partially observed) 2-D trajectory."""
+    """A (possibly partially observed) 2-D trajectory, or a stack of them."""
 
-    states: np.ndarray  # (T, 2) meters
-    validity: np.ndarray | None = None  # (T,) bool; None means all valid
+    states: np.ndarray  # (T, 2) or (n, T, 2) meters
+    validity: np.ndarray | None = None  # states.shape[:-1] bool; None means all valid
 
     def __post_init__(self):
         self.states = np.asarray(self.states, dtype=np.float64)
         if self.validity is None:
-            self.validity = np.ones(self.states.shape[0], dtype=bool)
+            self.validity = np.ones(self.states.shape[:-1], dtype=bool)
         else:
             self.validity = np.asarray(self.validity, dtype=bool)
-        if not self.validity.any():
+        if not self.validity.any(axis=-1).all():
             raise ValueError("trajectory requires at least one valid step")
 
     @property
     def horizon(self) -> int:
-        return self.states.shape[0]
+        return self.states.shape[-2]
 
 
 @dataclass
 class TrajectoryGMM:
     """K mode trajectories with per-step Gaussians and mode logits.
 
-    ``means``: (K, T, 2); ``cov_params``: (K, T, 3); ``logits``: (K,).
-    Fields may be numpy arrays (inference) or Tensors (training).
+    ``means``: (K, T, 2); ``cov_params``: (K, T, 3); ``logits``: (K,); a stack
+    adds a leading n axis and holds n anchors. Fields may be numpy arrays
+    (inference) or Tensors (training).
     """
 
     means: np.ndarray | Tensor
     cov_params: np.ndarray | Tensor
     logits: np.ndarray | Tensor
-    anchor: Pose2 | None = None
+    anchor: Pose2 | list[Pose2] | None = None
 
     @property
     def num_modes(self) -> int:
-        return _arr(self.means).shape[0]
+        return _arr(self.means).shape[-3]
 
     @property
     def horizon(self) -> int:
-        return _arr(self.means).shape[1]
+        return _arr(self.means).shape[-2]
 
     def detach(self) -> "TrajectoryGMM":
         return TrajectoryGMM(
@@ -83,20 +88,37 @@ def _arr(x) -> np.ndarray:
     return x.data if isinstance(x, Tensor) else np.asarray(x)
 
 
-def mode_weights(logits) -> np.ndarray | Tensor:
-    """Softmax mode confidences; stable under large logits."""
-    if isinstance(logits, Tensor):
-        return dc.softmax(logits, axis=-1)
+def stack(gmms: list[TrajectoryGMM]) -> TrajectoryGMM:
+    """Stack single-agent mixtures along a new leading axis; on the tape
+    when the fields are Tensors."""
+
+    def join(parts):
+        if isinstance(parts[0], Tensor):
+            return dc.concat([dc.reshape(p, (1,) + p.shape) for p in parts], axis=0)
+        return np.stack(parts)
+
+    fields = ([g.means for g in gmms], [g.cov_params for g in gmms], [g.logits for g in gmms])
+    return TrajectoryGMM(*map(join, fields), anchor=[g.anchor for g in gmms])
+
+
+def rows(gmms: TrajectoryGMM) -> list[TrajectoryGMM]:
+    """The detached single-agent mixtures of a stack, in row order."""
+    d = gmms.detach()
+    return [TrajectoryGMM(*row) for row in zip(d.means, d.cov_params, d.logits, d.anchor)]
+
+
+def mode_weights(logits) -> np.ndarray:
+    """Softmax mode confidences over the last axis; stable under large logits."""
     logits = np.asarray(logits, dtype=np.float64)
-    m = logits.max()
-    ex = np.exp(logits - m)
-    return ex / ex.sum()
+    ex = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    return ex / ex.sum(axis=-1, keepdims=True)
 
 
 def log_weights(logits) -> Tensor:
-    """log softmax over mode logits (differentiable path for losses)."""
+    """log softmax over the last axis (differentiable path for losses)."""
     logits = as_tensor(logits)
-    return dc.sub(logits, dc.logsumexp(logits, axis=-1))
+    lse = dc.logsumexp(logits, axis=-1, keepdims=True)
+    return dc.sub(logits, dc.gather(lse, np.zeros(logits.shape[-1], dtype=np.intp), axis=-1))
 
 
 def gaussian2d_logpdf(residual, cov):
@@ -125,52 +147,32 @@ def gaussian2d_logpdf(residual, cov):
     return out if tensor_mode else out.data
 
 
-def mode_loglik(gmm: TrajectoryGMM, k: int, traj: Trajectory):
-    """Sum over valid steps of the per-step Gaussian log-density of mode k."""
-    if not (0 <= k < gmm.num_modes):
-        raise IndexError(f"mode index {k} out of range for K={gmm.num_modes}")
-    if traj.horizon != gmm.horizon:
-        raise ValueError(f"trajectory horizon {traj.horizon} != model horizon {gmm.horizon}")
-    tensor_mode = isinstance(gmm.means, Tensor)
-    means_k = dc.reshape(dc.gather(as_tensor(gmm.means), [k], axis=0), (gmm.horizon, 2))
-    covs_k = dc.reshape(dc.gather(as_tensor(gmm.cov_params), [k], axis=0), (gmm.horizon, 3))
-    valid_idx = np.flatnonzero(traj.validity)
-    residual = dc.sub(traj.states[valid_idx], dc.gather(means_k, valid_idx, axis=0))
-    logp = gaussian2d_logpdf(residual, dc.gather(covs_k, valid_idx, axis=0))
-    out = dc.reduce_sum(logp)
-    return out if tensor_mode else float(out.data)
-
-
-def mode_loglik_t(gmm: TrajectoryGMM, k: int, traj: Trajectory) -> Tensor:
-    res = mode_loglik(gmm, k, traj)
-    return res if isinstance(res, Tensor) else Tensor(res)
-
-
-def closest_mode(gmm: TrajectoryGMM, traj: Trajectory) -> int:
-    """Mode minimizing mean per-valid-step displacement; ties -> lowest index."""
-    means = _arr(gmm.means)
-    valid = traj.validity
-    diffs = means[:, valid, :] - traj.states[valid][None, :, :]
-    dists = np.sqrt((diffs**2).sum(axis=-1)).mean(axis=-1)
-    return int(np.argmin(dists))
+def closest_mode(gmm: TrajectoryGMM, traj: Trajectory) -> np.ndarray:
+    """Per row, the mode of least mean per-valid-step displacement; ties -> lowest index."""
+    valid = traj.validity[..., None, :]
+    dists = np.sqrt(((_arr(gmm.means) - traj.states[..., None, :, :]) ** 2).sum(axis=-1))
+    mean = np.where(valid, dists, 0.0).sum(axis=-1) / valid.sum(axis=-1)
+    return np.argmin(mean, axis=-1)
 
 
 def sample(gmm: TrajectoryGMM, rng: np.random.Generator, mode_only: bool = True) -> Trajectory:
-    """Draw one trajectory: k ~ Categorical(pi); optionally add per-step noise."""
-    weights = gmm.weights()
-    k = int(rng.choice(len(weights), p=weights))
-    means = _arr(gmm.means)[k].copy()
-    if mode_only:
-        return Trajectory(states=means)
-    cov = _arr(gmm.cov_params)[k]
-    sx = np.exp(np.clip(cov[:, 0], LOG_SIGMA_MIN, LOG_SIGMA_MAX))
-    sy = np.exp(np.clip(cov[:, 1], LOG_SIGMA_MIN, LOG_SIGMA_MAX))
-    rho = np.tanh(cov[:, 2])
-    z = rng.standard_normal((means.shape[0], 2))
-    # Cholesky of [[sx^2, rho sx sy], [rho sx sy, sy^2]] applied per step
-    means[:, 0] += sx * z[:, 0]
-    means[:, 1] += sy * (rho * z[:, 0] + np.sqrt(1.0 - rho**2) * z[:, 1])
-    return Trajectory(states=means)
+    """Draw one trajectory per row: k ~ Categorical(pi), then optionally
+    per-step noise; the rows draw from ``rng`` one after another."""
+    k, t = gmm.num_modes, gmm.horizon
+    means = _arr(gmm.means).reshape(-1, k, t, 2)
+    covs = _arr(gmm.cov_params).reshape(-1, k, t, 3)
+    out = np.empty((len(means), t, 2))
+    for i, w in enumerate(gmm.weights().reshape(-1, k)):
+        mode = int(rng.choice(k, p=w))
+        out[i] = means[i, mode]
+        if not mode_only:
+            sx, sy = np.exp(np.clip(covs[i, mode, :, :2], LOG_SIGMA_MIN, LOG_SIGMA_MAX)).T
+            rho = np.tanh(covs[i, mode, :, 2])
+            z = rng.standard_normal((t, 2))
+            # Cholesky of [[sx^2, rho sx sy], [rho sx sy, sy^2]] applied per step
+            out[i, :, 0] += sx * z[:, 0]
+            out[i, :, 1] += sy * (rho * z[:, 0] + np.sqrt(1.0 - rho**2) * z[:, 1])
+    return Trajectory(states=out.reshape(_arr(gmm.logits).shape[:-1] + (t, 2)))
 
 
 def _cov_terms(cov):

@@ -1,5 +1,8 @@
 """Base likelihood loss and the three teacher-to-student distillation losses.
 
+Every loss takes one agent's (K, T) mixture or a stack of n agents' (n, K, T)
+and returns the sum over agents: one call covers all of a scene's targets.
+
 Teacher outputs are always treated as constants (frozen teacher): every loss
 detaches the teacher's buffers before use, so gradients flow only into the
 student's outputs.
@@ -58,11 +61,17 @@ def base_loss(pred: TrajectoryGMM, gt: Trajectory) -> LossBreakdown:
     """
     if not np.asarray(gt.validity).any():
         raise ValueError("groundtruth has no valid steps")
-    khat = gm.closest_mode(pred, gt)
-    logw = gm.log_weights(as_tensor(pred.logits))
-    logp_k = dc.reshape(dc.gather(logw, [khat], axis=0), ())
-    ll = gm.mode_loglik_t(pred, khat, gt)
-    total = -logp_k - ll
+    k, t = pred.num_modes, pred.horizon
+    if gt.states.shape != gm._arr(pred.logits).shape[:-1] + (t, 2):
+        raise ValueError(f"groundtruth shape {gt.states.shape} does not match the predictions")
+    # flat row of agent i's mode khat_i, and of its valid steps
+    sel = np.arange(gt.validity.size // t) * k + gm.closest_mode(pred, gt).reshape(-1)
+    steps = (sel[:, None] * t + np.arange(t))[gt.validity.reshape(-1, t)]
+    logp_k = dc.gather(dc.reshape(gm.log_weights(pred.logits), (-1,)), sel, axis=0)
+    means = dc.gather(dc.reshape(as_tensor(pred.means), (-1, 2)), steps, axis=0)
+    covs = dc.gather(dc.reshape(as_tensor(pred.cov_params), (-1, 3)), steps, axis=0)
+    residual = dc.sub(gt.states.reshape(-1, 2)[gt.validity.reshape(-1)], means)
+    total = -dc.reduce_sum(logp_k) - dc.reduce_sum(gm.gaussian2d_logpdf(residual, covs))
     return LossBreakdown(total=total, nll_term=total, ce_term=_zero(), kl_term=_zero())
 
 
@@ -74,10 +83,9 @@ def _ce_from_logits(student_logits, teacher_w) -> Tensor:
 
 
 def _check_compat(student: TrajectoryGMM, teacher: TrajectoryGMM) -> None:
-    if student.num_modes != teacher.num_modes:
-        raise ValueError(f"mode count mismatch: student K={student.num_modes}, teacher K={teacher.num_modes}")
-    if student.horizon != teacher.horizon:
-        raise ValueError(f"horizon mismatch: student T={student.horizon}, teacher T={teacher.horizon}")
+    s, t = gm._arr(student.means).shape, gm._arr(teacher.means).shape
+    if s != t:
+        raise ValueError(f"student means {s} and teacher means {t} differ in agents, modes or horizon")
 
 
 def distill_set_loss(
@@ -90,17 +98,13 @@ def distill_set_loss(
     """
     opts = opts or DistillOptions()
     _check_compat(student, teacher)
-    k, t = student.num_modes, student.horizon
-    teacher_means = gm._arr(teacher.means)
-    teacher_w = gm.mode_weights(gm._arr(teacher.logits))
-
-    residual = dc.sub(teacher_means.reshape(k * t, 2), dc.reshape(as_tensor(student.means), (k * t, 2)))
-    covs = dc.reshape(as_tensor(student.cov_params), (k * t, 3))
+    residual = dc.sub(gm._arr(teacher.means).reshape(-1, 2), dc.reshape(as_tensor(student.means), (-1, 2)))
+    covs = dc.reshape(as_tensor(student.cov_params), (-1, 3))
     nll = -dc.reduce_sum(gm.gaussian2d_logpdf(residual, covs))
 
-    ce = _ce_from_logits(student.logits, teacher_w)
+    ce = _ce_from_logits(student.logits, teacher.weights())
     if opts.ce_literal_per_k:
-        ce = ce * float(k)
+        ce = ce * float(student.num_modes)
     total = nll + ce
     return LossBreakdown(total=total, nll_term=nll, ce_term=ce, kl_term=_zero())
 
@@ -145,7 +149,7 @@ def distill_sample_loss(
     opts: DistillOptions | None = None,
 ) -> LossBreakdown:
     """Sample distillation: a draw from the teacher's distribution replaces the
-    groundtruth in the base loss."""
+    groundtruth in the base loss, one draw per agent in row order."""
     opts = opts or DistillOptions()
     _check_compat(student, teacher)
     proxy = gm.sample(teacher.detach(), rng, mode_only=opts.sample_mode_only)
@@ -162,18 +166,16 @@ def distill_distribution_loss(
     Gaussian KL between index-matched student and teacher components."""
     opts = opts or DistillOptions()
     _check_compat(student, teacher)
-    k, t = student.num_modes, student.horizon
-    teacher_means = gm._arr(teacher.means).reshape(k * t, 2)
-    teacher_covs = gm._arr(teacher.cov_params).reshape(k * t, 3)
-    teacher_w = gm.mode_weights(gm._arr(teacher.logits))
+    teacher_means = gm._arr(teacher.means).reshape(-1, 2)
+    teacher_covs = gm._arr(teacher.cov_params).reshape(-1, 3)
 
     base = base_loss(student, gt)
-    ce = _ce_from_logits(student.logits, teacher_w)
+    ce = _ce_from_logits(student.logits, teacher.weights())
     if opts.ce_literal_per_k:
-        ce = ce * float(k)
+        ce = ce * float(student.num_modes)
 
-    s_means = dc.reshape(as_tensor(student.means), (k * t, 2))
-    s_covs = dc.reshape(as_tensor(student.cov_params), (k * t, 3))
+    s_means = dc.reshape(as_tensor(student.means), (-1, 2))
+    s_covs = dc.reshape(as_tensor(student.cov_params), (-1, 3))
     if opts.kl_reverse:
         kl = gm.gaussian_kl(teacher_means, teacher_covs, s_means, s_covs)
     else:

@@ -29,7 +29,8 @@ Training and evaluation skip such agents; ``student_predict`` and
 
 ``predict_scene`` is the one prediction call for both model kinds, used by
 training, evaluation and the latency harness: a ``teacher_forward`` per
-agent, or one student encode and batched decode.
+agent, or one student encode and batched decode, returned as the predicted
+ids and one (n, K, T) mixture stack that the losses take whole.
 """
 
 from __future__ import annotations
@@ -78,6 +79,10 @@ class TeacherConfig:
     def __post_init__(self):
         if self.num_modes < 1 or self.horizon < 1 or self.hidden < 1:
             raise ValueError("num_modes, horizon and hidden must be positive")
+        if self.max_polylines < 1:
+            raise ValueError("max_polylines must be positive")
+        if self.points_per_polyline < 2:
+            raise ValueError("points_per_polyline must be at least 2")
 
 
 @dataclass
@@ -102,6 +107,11 @@ class StudentConfig:
             raise ValueError("num_modes and horizon must be positive")
         if self.cell_size <= 0:
             raise ValueError("cell_size must be positive")
+        for name in ("pillar_embed", "hidden", "patch"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be positive")
+        if any(c < 1 for c in self.conv_channels):
+            raise ValueError("conv_channels entries must be positive")
 
 
 @dataclass
@@ -469,14 +479,15 @@ def _patch_indices(cfg: StudentConfig, xy: np.ndarray) -> tuple[np.ndarray, np.n
 
 def student_decode(
     encoding: SceneEncoding, scene: Scene, agent_ids: list[str], params: ModelParams
-) -> dict[str, gm.TrajectoryGMM]:
+) -> tuple[list[str], gm.TrajectoryGMM | None]:
     """Decode agent-frame GMMs for many agents in one batched pass.
 
     One patch gather, one decoder MLP and one GMM head serve every agent,
-    recorded on the active tape if there is one. Agents outside the grid
-    extent are left out of the result. Decoded mean offsets are scene-frame
-    displacements from the agent position; they are rotated by -heading and
-    added to the constant-velocity rollout.
+    recorded on the active tape if there is one. Returns the decoded ids and
+    their (n, K, T) mixture stack, or ``([], None)``: agents outside the grid
+    extent are left out. Decoded mean offsets are scene-frame displacements
+    from the agent position; they are rotated by -heading and added to the
+    constant-velocity rollout.
     """
     cfg: StudentConfig = params.config
     # first agent of each id, as Scene.agent_by_id returns, in one pass
@@ -489,7 +500,7 @@ def student_decode(
     cells, inside = _patch_indices(cfg, np.array([[a.x, a.y] for a in anchors]).reshape(-1, 2))
     keep = np.flatnonzero(inside)
     if keep.size == 0:
-        return {}
+        return [], None
     ids = [agent_ids[i] for i in keep]
     anchors = [anchors[i] for i in keep]
     vels = np.array([agents[i].history[-1, 3:5] for i in keep])
@@ -512,20 +523,12 @@ def student_decode(
         + swapped * Tensor(np.repeat(rot_s, k * t, axis=0))
         + Tensor(np.broadcast_to(cv[:, None], (n, k, t, 2)).reshape(n * k * t, 2))
     )
-    per_agent = zip(
-        ids, anchors,
-        dc.unstack(dc.reshape(means, (n, k, t, 2))),
-        dc.unstack(dc.reshape(covs, (n, k, t, 3))),
-        dc.unstack(logits),
-    )
-    return {
-        aid: gm.TrajectoryGMM(means=m, cov_params=cov, logits=lg, anchor=a)
-        for aid, a, m, cov, lg in per_agent
-    }
+    return ids, gm.TrajectoryGMM(dc.reshape(means, (n, k, t, 2)), dc.reshape(covs, (n, k, t, 3)), logits, anchors)
 
 
-def _require_decoded(decoded: dict, agent_ids: list[str]) -> None:
-    missing = [aid for aid in agent_ids if aid not in decoded]
+def _require_decoded(decoded: list[str], agent_ids: list[str]) -> None:
+    kept = set(decoded)
+    missing = [aid for aid in agent_ids if aid not in kept]
     if missing:
         raise OutOfExtentError(f"agents {missing} outside the grid extent")
 
@@ -533,10 +536,12 @@ def _require_decoded(decoded: dict, agent_ids: list[str]) -> None:
 def student_decode_agent(
     encoding: SceneEncoding, scene: Scene, agent_id: str, params: ModelParams
 ) -> gm.TrajectoryGMM:
-    """Decode one agent; raises OutOfExtentError when it is off the grid."""
-    out = student_decode(encoding, scene, [agent_id], params)
-    _require_decoded(out, [agent_id])
-    return out[agent_id]
+    """Decode one agent's (K, T) mixture; raises OutOfExtentError when it is
+    off the grid."""
+    ids, out = student_decode(encoding, scene, [agent_id], params)
+    _require_decoded(ids, [agent_id])
+    fields = (dc.reshape(x, x.shape[1:]) for x in (out.means, out.cov_params, out.logits))
+    return gm.TrajectoryGMM(*fields, anchor=out.anchor[0])
 
 
 def student_predict(scene: Scene, agent_ids: list[str], params: ModelParams) -> dict[str, gm.TrajectoryGMM]:
@@ -544,26 +549,28 @@ def student_predict(scene: Scene, agent_ids: list[str], params: ModelParams) -> 
 
     Raises OutOfExtentError when any requested agent is off the grid.
     """
-    out = predict_scene(scene, agent_ids, params)
-    _require_decoded(out, agent_ids)
-    return {aid: pred.detach() for aid, pred in out.items()}
+    ids, out = predict_scene(scene, agent_ids, params)
+    _require_decoded(ids, agent_ids)
+    return dict(zip(ids, gm.rows(out))) if ids else {}
 
 
 # ---------------------------------------------------------------------------
 # either model
 
 
-def predict_scene(scene: Scene, agent_ids: list[str], params: ModelParams) -> dict[str, gm.TrajectoryGMM]:
+def predict_scene(scene: Scene, agent_ids: list[str], params: ModelParams) -> tuple[list[str], gm.TrajectoryGMM | None]:
     """Agent-frame GMMs of ``agent_ids`` from either model kind, recorded on
-    the active tape if there is one.
+    the active tape if there is one: the predicted ids and their (n, K, T)
+    stack, or ``([], None)``.
 
     The teacher runs one ``teacher_forward`` per agent. The student encodes
     the scene once and decodes all agents in one batched pass, leaving out
     agents outside the grid extent.
     """
-    if params.kind == "teacher":
-        return {aid: teacher_forward(scene, aid, params) for aid in agent_ids}
-    return student_decode(student_forward_scene(scene, params), scene, agent_ids, params)
+    if params.kind == "student":
+        return student_decode(student_forward_scene(scene, params), scene, agent_ids, params)
+    preds = [teacher_forward(scene, aid, params) for aid in agent_ids]
+    return (list(agent_ids), gm.stack(preds)) if preds else ([], None)
 
 
 # ---------------------------------------------------------------------------

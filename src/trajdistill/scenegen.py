@@ -126,8 +126,10 @@ class GenConfig:
             raise ValueError("noise sigmas must be >= 0")
         if not self.arm_choices or any(a < 2 for a in self.arm_choices):
             raise ValueError("arm_choices must contain counts >= 2")
-        if self.history_len < 1:
-            raise ValueError("history_len must be positive")
+        if self.history_len < 2:
+            raise ValueError("history_len must be at least 2")
+        if self.arm_length <= 0:
+            raise ValueError("arm_length must be positive")
 
 
 def _unit(theta: float) -> np.ndarray:

@@ -3,10 +3,11 @@
 One optimizer step consumes one scene (all of its prediction targets).
 Scene order is a seeded shuffle, reshuffled each epoch. Both models train
 through the same loop (``_fit``), which predicts through
-``models.predict_scene``: the teacher trains as the ``none`` method (the
-base mixture NLL alone) at a constant lambda. The teacher is frozen during
-distillation; its per-agent predictions are computed once and memoized by
-(scene_id, agent_id).
+``models.predict_scene`` and calls the method's loss once per step over the
+stack of all predicted targets: the teacher trains as the ``none`` method
+(the base mixture NLL alone) at a constant lambda. The teacher is frozen
+during distillation; its per-agent predictions are computed once, memoized
+by (scene_id, agent_id), and stacked to match the student's.
 
 Checkpoints are two files: a JSON manifest (schema version, model kind,
 config, ordered tensor names and shapes) and a raw little-endian float32
@@ -59,6 +60,11 @@ class TrainConfig:
             raise ValueError("steps must be positive")
         if self.lr <= 0 or self.clip_norm <= 0:
             raise ValueError("lr and clip_norm must be positive")
+        for name in ("beta1", "beta2"):
+            if not 0.0 <= getattr(self, name) < 1.0:
+                raise ValueError(f"{name} must lie in [0, 1)")
+        if self.eps <= 0:
+            raise ValueError("eps must be positive")
 
     def distill_options(self) -> ls.DistillOptions:
         return ls.DistillOptions(
@@ -249,7 +255,7 @@ class FrozenTeacher:
         return self._cache[key]
 
 
-def _agent_loss(
+def _scene_loss(
     pred: gm.TrajectoryGMM,
     teacher_pred: gm.TrajectoryGMM | None,
     gt: gm.Trajectory,
@@ -276,7 +282,8 @@ def _fit(
     log: TrainLog | None,
 ) -> TrainLog:
     """The optimizer loop of both models: one scene per step, the mean
-    per-agent loss of its prediction targets, clipped Adam."""
+    per-agent loss of its prediction targets, clipped Adam. A scene with no
+    target to predict is skipped: no record, no update."""
     log = log or TrainLog()
     rng = np.random.default_rng(cfg.seed)
     sample_rng = np.random.default_rng(cfg.seed + 1)
@@ -288,20 +295,14 @@ def _fit(
         lam = ls.lambda_schedule(step, cfg.steps, cfg.lambda_mode)
         _zero_grads(params)
         with dc.Tape() as tape:
-            preds = md.predict_scene(scene, ids, params)
-            if not preds:
+            ids, pred = md.predict_scene(scene, ids, params)
+            if not ids:
                 continue
-            total = Tensor(0.0)
-            nll = ce = kl = 0.0
-            for aid, pred in preds.items():
-                tpred = frozen.predict(scene, aid) if frozen else None
-                lb = _agent_loss(pred, tpred, agent_frame_gt(scene, aid), cfg, lam, sample_rng)
-                total = total + lb.total
-                nll += float(lb.nll_term.data)
-                ce += float(lb.ce_term.data)
-                kl += float(lb.kl_term.data)
-            used = len(preds)
-            total = total * (1.0 / used)
+            gt = gm.Trajectory(states=np.stack([agent_frame_gt(scene, aid).states for aid in ids]))
+            tpred = gm.stack([frozen.predict(scene, aid) for aid in ids]) if frozen else None
+            lb = _scene_loss(pred, tpred, gt, cfg, lam, sample_rng)
+            n = len(ids)
+            total = lb.total * (1.0 / n)
             tape.backward(total)
         grads = _collect_grads(params)
         norm = clip_global_norm(grads, cfg.clip_norm)
@@ -309,8 +310,9 @@ def _fit(
         log.append(
             StepRecord(
                 step=step, scene_index=scene_idx, loss=float(total.data),
-                nll=nll / used, ce=ce / used, kl=kl / used, active_lambda=lam,
-                grad_norm=norm, n_agents=used,
+                nll=float(lb.nll_term.data) / n, ce=float(lb.ce_term.data) / n,
+                kl=float(lb.kl_term.data) / n, active_lambda=lam,
+                grad_norm=norm, n_agents=n,
             )
         )
     log.close()
@@ -370,11 +372,10 @@ def predict_dataset(
     gts: list[gm.Trajectory] = []
     for scene in scenes:
         ids = [a.id for a in scene.prediction_targets() if a.future is not None]
-        if not ids:
-            continue
-        for aid, pred in md.predict_scene(scene, ids, params).items():
-            preds.append(pred.detach())
-            gts.append(agent_frame_gt(scene, aid))
+        ids, stack = md.predict_scene(scene, ids, params)
+        if ids:
+            preds.extend(gm.rows(stack))
+            gts.extend(agent_frame_gt(scene, aid) for aid in ids)
     return preds, gts
 
 

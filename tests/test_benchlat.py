@@ -106,8 +106,8 @@ def test_run_bench_student_with_off_grid_agents():
     params = md.init_params(cfg, np.random.default_rng(0))
     scene = bl.bench_scene(8, 4, np.random.default_rng(0 + 1000 * 8 + 4))  # run_bench's scene
     ids = [a.id for a in scene.agents]
-    decoded = md.student_decode(md.student_forward_scene(scene, params), scene, ids, params)
-    assert 0 < len(decoded) < len(ids)
+    kept, _ = md.student_decode(md.student_forward_scene(scene, params), scene, ids, params)
+    assert 0 < len(kept) < len(ids)
     points = bl.run_bench("student", params, [(8, 4)], warmup=1, reps=5)
     assert len(points) == 1
     assert 0 < points[0].p10_s <= points[0].median_s <= points[0].p90_s

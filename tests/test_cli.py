@@ -192,6 +192,19 @@ def test_train_student_baseline(tmp_path, data):
     assert manifest["model"] == "student"
 
 
+def test_train_reports_skipped_steps(tmp_path, data, capsys):
+    """On a 32 m student grid two of the three scenes have no target on the
+    grid: one epoch takes one step and reports the other two as skipped."""
+    cfg = tmp_path / "s.json"
+    cfg.write_text(json.dumps({"schema_version": 1, "grid_h": 16, "grid_w": 16,
+                               "pillar_embed": 4, "conv_channels": [4], "hidden": 8}))
+    log = tmp_path / "log.jsonl"
+    assert run(["train", "--model", "student", "--data", data, "--out", str(tmp_path / "sk"),
+                "--steps", "3", "--model-config", str(cfg), "--log", str(log)]) == 0
+    assert "trained student for 1 steps, skipped 2 with no target" in capsys.readouterr().out
+    assert len(log.read_text().splitlines()) == 1
+
+
 def test_bench_csv_and_svg(tmp_path):
     out = tmp_path / "bench.csv"
     svg = tmp_path / "bench.svg"

@@ -247,11 +247,26 @@ def test_dataset_line_not_an_object_exit_4(work, lines, ckpt, line):
         ("train", {"steps": 2.5}),
         ("gen", {"history_len": 0}),
         ("student", {"cell_size": 0.0}),
+        ("student", {"pillar_embed": 0}),
+        ("student", {"hidden": 0}),
+        ("student", {"patch": 0}),
+        ("student", {"conv_channels": [4, 0]}),
+        ("teacher", {"max_polylines": 0}),
+        ("teacher", {"points_per_polyline": 1}),
+        ("train", {"beta1": 1.0}),
+        ("train", {"beta2": -0.5}),
+        ("train", {"eps": 0.0}),
+        ("gen", {"arm_length": -5}),
+        ("gen", {"history_len": 1}),
     ],
     ids=["intent_prior_list", "num_scenes_string", "conv_channels_string",
-         "hidden_float", "steps_float", "history_len_zero", "cell_size_zero"],
+         "hidden_float", "steps_float", "history_len_zero", "cell_size_zero",
+         "pillar_embed_zero", "student_hidden_zero", "patch_zero", "conv_channel_zero",
+         "max_polylines_zero", "points_per_polyline_one", "beta1_one", "beta2_negative",
+         "eps_zero", "arm_length_negative", "history_len_one"],
 )
-def test_bad_config_value_exit_2(work, data, which, body):
+def test_bad_config_value_exit_2(work, data, which, body, capsys):
+    """A value of the wrong type or out of range exits 2 and names its field."""
     path = _config(work, f"bad-{which}.json", body)
     out = str(work / "bad-out")
     argv = {
@@ -262,6 +277,7 @@ def test_bad_config_value_exit_2(work, data, which, body):
                     "--model-config", path],
     }[which]
     assert cli.main(argv) == 2
+    assert next(iter(body)) in capsys.readouterr().err
 
 
 def test_partial_intent_prior_exit_0(work):

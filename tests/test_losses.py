@@ -4,6 +4,7 @@ import zlib
 import numpy as np
 import pytest
 
+from test_gmm import mode_loglik
 from trajdistill import diffcore as dc
 from trajdistill import gmm as gm
 from trajdistill import losses as ls
@@ -59,7 +60,7 @@ def test_base_loss_random_oracle():
             range(3), key=lambda k: (np.linalg.norm(g.means[k] - gt.states, axis=-1).mean(), k)
         )
         w = g.weights()
-        expected = -math.log(w[khat]) - gm.mode_loglik(g, khat, gt)
+        expected = -math.log(w[khat]) - mode_loglik(g, khat, gt)
         out = ls.base_loss(g, gt)
         assert np.isclose(float(out.total.data), expected, atol=1e-9)
 
@@ -300,3 +301,55 @@ def test_all_losses_gradcheck(which):
             return ls.distill_distribution_loss(student, teacher, gt).total
 
         assert grad_check(f, x0) <= 1e-4
+
+
+def _terms(lb):
+    return {name: float(getattr(lb, name).data) for name in ("total", "nll_term", "ce_term", "kl_term")}
+
+
+@pytest.mark.parametrize("which", ["base", "set", "combined", "sample", "sample_noise", "distribution"])
+def test_stacked_loss_equals_sum_of_single_agent_calls(which):
+    """A stack of four agents in one call equals the sum of the four
+    single-agent calls term by term; row 1 is observed at two of four steps.
+    Sample distillation draws once per row in row order, so two equally
+    seeded generators give the same draws."""
+    rng = np.random.default_rng(zlib.crc32(which.encode()))
+    n, k, t = 4, 3, 4
+    students = [make_gmm(rng, k=k, t=t) for _ in range(n)]
+    teachers = [make_gmm(rng, k=k, t=t) for _ in range(n)]
+    validity = np.ones((n, t), dtype=bool)
+    validity[1, [0, 2]] = False
+    gts = [Trajectory(states=rng.uniform(-4, 4, (t, 2)), validity=v) for v in validity]
+    opts = DistillOptions(sample_mode_only=which != "sample_noise", ce_literal_per_k=True, kl_reverse=True)
+    draws = {name: np.random.default_rng(11) for name in ("stacked", "single")}
+
+    def loss(student, teacher, gt, rng):
+        if which == "base":
+            return ls.base_loss(student, gt)
+        if which == "set":
+            return ls.distill_set_loss(student, teacher, opts)
+        if which == "combined":
+            return ls.combined_loss(student, teacher, gt, 1, opts)
+        if which.startswith("sample"):
+            return ls.distill_sample_loss(student, teacher, rng, opts)
+        return ls.distill_distribution_loss(student, teacher, gt, opts)
+
+    stacked = _terms(loss(
+        gm.stack(students), gm.stack(teachers),
+        Trajectory(states=np.stack([g.states for g in gts]), validity=validity), draws["stacked"],
+    ))
+    singles = [_terms(loss(s, te, g, draws["single"])) for s, te, g in zip(students, teachers, gts)]
+    for name, value in stacked.items():
+        want = sum(single[name] for single in singles)
+        assert abs(value - want) <= 1e-12 * abs(want), name
+    assert draws["stacked"].bit_generator.state == draws["single"].bit_generator.state
+
+
+def test_stacked_loss_rejects_mismatched_agent_counts():
+    rng = np.random.default_rng(12)
+    students = gm.stack([make_gmm(rng) for _ in range(3)])
+    teachers = gm.stack([make_gmm(rng) for _ in range(2)])
+    with pytest.raises(ValueError, match="differ in agents"):
+        ls.distill_set_loss(students, teachers)
+    with pytest.raises(ValueError, match="groundtruth shape"):
+        ls.base_loss(students, Trajectory(states=np.zeros((2, 2))))

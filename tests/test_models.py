@@ -442,10 +442,12 @@ def _student_grads(scene, params, groups):
         enc = md.student_forward_scene(scene, params)
         total = dc.Tensor(0.0)
         for group in groups:
-            for aid, pred in md.student_decode(enc, scene, group, params).items():
+            ids, pred = md.student_decode(enc, scene, group, params)
+            futures = []
+            for aid in ids:
                 agent = scene.agent_by_id(aid)
-                gt = gm.Trajectory(states=world_to_agent(Pose2(*agent.current_pose()), agent.future))
-                total = total + ls.base_loss(pred, gt).total
+                futures.append(world_to_agent(Pose2(*agent.current_pose()), agent.future))
+            total = total + ls.base_loss(pred, gm.Trajectory(states=np.stack(futures))).total
         tape.backward(total)
     return {name: t.grad.copy() for name, t in params.buffers.items()}
 
@@ -469,22 +471,26 @@ def test_student_decode_leaves_out_off_grid_agent():
     off = ids[len(ids) // 2]
     scene.agent_by_id(off).history[-1, 0] = 500.0
     kept = [aid for aid in ids if aid != off]
-    with_off = md.student_decode(enc, scene, ids, params)
-    without = md.student_decode(enc, scene, kept, params)
-    assert list(with_off) == kept
-    for aid in kept:
-        for field in ("means", "cov_params", "logits"):
-            a, b = getattr(with_off[aid], field).data, getattr(without[aid], field).data
-            assert np.abs(a - b).max() <= 1e-12
+    ids_with, with_off = md.student_decode(enc, scene, ids, params)
+    ids_without, without = md.student_decode(enc, scene, kept, params)
+    assert ids_with == ids_without == kept
+    assert with_off.anchor == without.anchor
+    for field in ("means", "cov_params", "logits"):
+        a, b = getattr(with_off, field).data, getattr(without, field).data
+        assert a.shape[0] == len(kept)
+        assert np.abs(a - b).max() <= 1e-12
     with pytest.raises(md.OutOfExtentError):
         md.student_predict(scene, ids, params)
 
 
-def _assert_same_gmms(a, b):
-    assert list(a) == list(b)
-    for aid in a:
+def _assert_same_rows(ids, stack, want):
+    """Row i of the mixture ``stack`` equals the single-agent mixture
+    ``want[ids[i]]`` bitwise, anchor included."""
+    assert ids == list(want)
+    for i, aid in enumerate(ids):
+        assert stack.anchor[i] == want[aid].anchor, aid
         for field in ("means", "cov_params", "logits"):
-            assert np.array_equal(getattr(a[aid], field).data, getattr(b[aid], field).data), (aid, field)
+            assert np.array_equal(gm._arr(getattr(stack, field))[i], gm._arr(getattr(want[aid], field))), (aid, field)
 
 
 def test_predict_scene_teacher_equals_teacher_forward():
@@ -492,9 +498,9 @@ def test_predict_scene_teacher_equals_teacher_forward():
     ids = [a.id for a in scene.prediction_targets()]
     params = md.init_params(md.TeacherConfig(hidden=16), np.random.default_rng(0))
     with dc.Tape() as tape:
-        out = md.predict_scene(scene, ids, params)
-    assert all(any(n is out[aid].means for n in tape.nodes) for aid in ids)
-    _assert_same_gmms(out, {aid: md.teacher_forward(scene, aid, params) for aid in ids})
+        got_ids, out = md.predict_scene(scene, ids, params)
+    assert all(any(n is getattr(out, f) for n in tape.nodes) for f in ("means", "cov_params", "logits"))
+    _assert_same_rows(got_ids, out, {aid: md.teacher_forward(scene, aid, params) for aid in ids})
 
 
 def test_predict_scene_student_equals_decode_and_leaves_out_off_grid_agent():
@@ -504,11 +510,12 @@ def test_predict_scene_student_equals_decode_and_leaves_out_off_grid_agent():
     off = ids[len(ids) // 2]
     scene.agent_by_id(off).history[-1, 0] = 500.0
     with dc.Tape() as tape:
-        out = md.predict_scene(scene, ids, params)
-    assert list(out) == [aid for aid in ids if aid != off]
-    assert all(any(n is pred.means for n in tape.nodes) for pred in out.values())
+        got_ids, out = md.predict_scene(scene, ids, params)
+    assert got_ids == [aid for aid in ids if aid != off]
+    assert all(any(n is getattr(out, f) for n in tape.nodes) for f in ("means", "cov_params", "logits"))
     enc = md.student_forward_scene(scene, params)
-    _assert_same_gmms(out, md.student_decode(enc, scene, ids, params))
+    decoded_ids, decoded = md.student_decode(enc, scene, ids, params)
+    _assert_same_rows(got_ids, out, dict(zip(decoded_ids, gm.rows(decoded))))
 
 
 def test_student_grid_shift_equivariance():
