@@ -6,11 +6,17 @@ and motion histories through small LSTMs, neighbor encodings max-pooled into
 one interaction vector, everything concatenated and decoded by an MLP into a
 Gaussian-mixture trajectory distribution. Because every input is expressed
 relative to the agent, the output is invariant to rigid transforms of the
-scene. The inputs are featurized as arrays: one ``world_to_agent`` call over
-all selected polylines' resampled points, one over the signal positions, and
-``_track_features`` over the stacked histories of the agent and its
-neighbors, chosen by array distance tests. Each LSTM is one fused
-``diffcore.lstm`` node, so a forward records a few dozen tape nodes.
+scene. Its flops grow with the agent count, but its calls need not:
+``teacher_forward`` takes one id or a list and runs a list in one batched
+pass. Every polyline is resampled once per call, in one array pass, and each
+agent's inputs are featurized as arrays in its own frame: one
+``world_to_agent`` call over its nearest polylines' resampled points, one
+over the signal positions, and ``_track_features`` over the stacked
+histories of the agent and its neighbors, chosen by array distance tests.
+One road MLP, one fused ``diffcore.lstm`` node per input kind, one
+per-agent ``scatter_max_pool`` of the neighbor encodings and one decoder
+serve the whole batch, so a call records a few dozen tape nodes whatever
+its agent count.
 
 The student rasterizes the scene once into a pillar grid, runs a small
 convolutional backbone, and decodes each agent from a feature patch cropped
@@ -28,9 +34,10 @@ Training and evaluation skip such agents; ``student_predict`` and
 ``student_decode_agent`` raise ``OutOfExtentError`` for them.
 
 ``predict_scene`` is the one prediction call for both model kinds, used by
-training, evaluation and the latency harness: a ``teacher_forward`` per
-agent, or one student encode and batched decode, returned as the predicted
-ids and one (n, K, T) mixture stack that the losses take whole.
+training, evaluation and the latency harness: one batched
+``teacher_forward`` call, or one student encode and batched decode, returned
+as the predicted ids and one (n, K, T) mixture stack that the losses take
+whole.
 """
 
 from __future__ import annotations
@@ -44,7 +51,7 @@ from . import diffcore as dc
 from . import gmm as gm
 from .diffcore import Tensor
 from .geom import Pose2, world_to_agent
-from .scenegen import Scene
+from .scenegen import AgentTrack, Scene
 
 PARAMS_SCHEMA_VERSION = 1
 
@@ -287,86 +294,160 @@ def _resample_polyline(points: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-def _road_features(scene: Scene, anchor: Pose2, cfg: TeacherConfig) -> np.ndarray:
-    """Point features (m, P, F) of the ``max_polylines`` polylines nearest to
-    the anchor by closest-point distance, nearest first: resampled position
-    in the anchor frame, kind one-hot, speed limit / 10."""
+def _resample_polylines(points: np.ndarray, starts: np.ndarray, n: int) -> np.ndarray:
+    """Every polyline of the concatenated ``points`` (N, 2), polyline i
+    starting at row ``starts[i]``, resampled at ``n`` points evenly spaced in
+    arc length, in one array pass: (len(starts), n, 2).
+
+    Shorter polylines are padded with their last point, whose zero-length
+    segments add no arc length; the interpolation follows ``np.interp``, so
+    each row equals ``_resample_polyline`` of its polyline.
+    """
+    lens = np.diff(starts, append=len(points))
+    width = int(lens.max())
+    pts = points[starts[:, None] + np.minimum(np.arange(width), lens[:, None] - 1)]  # (m, L, 2)
+    s = np.zeros(pts.shape[:2])
+    np.cumsum(np.linalg.norm(np.diff(pts, axis=1), axis=2), axis=1, out=s[:, 1:])
+    target = np.linspace(0.0, s[:, -1], n, axis=1)  # (m, n)
+    # the segment j with s[j] <= target < s[j + 1]; j = L - 1 past the end
+    j = (s[:, None, :] <= target[:, :, None]).sum(axis=2) - 1
+    rows, lo = np.arange(len(starts))[:, None], np.minimum(j, width - 2)
+    p0, p1 = pts[rows, lo], pts[rows, lo + 1]
+    s0, s1, t = s[rows, lo][..., None], s[rows, lo + 1][..., None], target[..., None]
+    # past the end s1 == s0 on the padding: that lane takes the last point
+    with np.errstate(divide="ignore", invalid="ignore"):
+        inner = (p1 - p0) / (s1 - s0) * (t - s0) + p0
+    return np.where(j[..., None] >= width - 1, pts[:, -1:], inner)
+
+
+def _road_features(scene: Scene, anchors: list[Pose2], cfg: TeacherConfig) -> np.ndarray:
+    """Point features (B, m, P, F), for each anchor the m = min(#polylines,
+    ``max_polylines``) polylines nearest to it by closest-point distance,
+    nearest first: resampled position in the anchor frame, kind one-hot,
+    speed limit / 10. Every polyline is resampled once for all anchors."""
     n = cfg.points_per_polyline
     if not scene.roadgraph:
-        return np.zeros((0, n, ROAD_POINT_FEATURES))
+        return np.zeros((len(anchors), 0, n, ROAD_POINT_FEATURES))
     starts = np.cumsum([0] + [len(p.points) for p in scene.roadgraph[:-1]])
     all_pts = np.concatenate([p.points for p in scene.roadgraph])
-    dists = np.minimum.reduceat(np.linalg.norm(all_pts - [anchor.x, anchor.y], axis=1), starts)
-    polys = [scene.roadgraph[i] for i in np.argsort(dists, kind="stable")[: cfg.max_polylines]]
-    m = len(polys)
-    resampled = np.concatenate([_resample_polyline(p.points, n) for p in polys])
-    feats = np.zeros((m, n, ROAD_POINT_FEATURES))
-    feats[..., :2] = world_to_agent(anchor, resampled).reshape(m, n, 2)
-    feats[np.arange(m), :, [2 + ROAD_KINDS.index(p.kind) for p in polys]] = 1.0
-    feats[..., -1] = np.array([p.speed_limit_mps for p in polys])[:, None] / 10.0
+    xy = np.array([[a.x, a.y] for a in anchors])
+    dists = np.minimum.reduceat(np.linalg.norm(all_pts - xy[:, None], axis=2), starts, axis=1)
+    near = np.argsort(dists, axis=1, kind="stable")[:, : cfg.max_polylines]  # (B, m)
+    resampled = _resample_polylines(all_pts, starts, n)[near]
+    b, m = near.shape
+    feats = np.zeros((b, m, n, ROAD_POINT_FEATURES))
+    for i, anchor in enumerate(anchors):
+        feats[i, ..., :2] = world_to_agent(anchor, resampled[i].reshape(m * n, 2)).reshape(m, n, 2)
+    kinds = np.array([ROAD_KINDS.index(p.kind) for p in scene.roadgraph])
+    feats[..., 2 : 2 + len(ROAD_KINDS)] = np.eye(len(ROAD_KINDS))[kinds[near]][:, :, None]
+    feats[..., -1] = np.array([p.speed_limit_mps for p in scene.roadgraph])[near][..., None] / 10.0
     return feats
 
 
-def _signal_features(scene: Scene, anchor: Pose2) -> np.ndarray:
-    """Per-step signal features (s, L, F): position in the anchor frame, state one-hot."""
-    feats = np.zeros((len(scene.signals), scene.history_len, SIGNAL_STEP_FEATURES))
+def _signal_features(scene: Scene, anchors: list[Pose2]) -> np.ndarray:
+    """Per-step signal features (B, s, L, F) for each anchor: position in
+    the anchor frame, state one-hot."""
+    feats = np.zeros((len(anchors), len(scene.signals), scene.history_len, SIGNAL_STEP_FEATURES))
     if scene.signals:
-        feats[..., :2] = world_to_agent(anchor, np.array([sig.position for sig in scene.signals]))[:, None]
+        positions = np.array([sig.position for sig in scene.signals])
+        for i, anchor in enumerate(anchors):
+            feats[i, ..., :2] = world_to_agent(anchor, positions)[:, None]
         states = [[SIGNAL_STATES.index(st) for st in sig.states] for sig in scene.signals]
         feats[..., 2:] = np.eye(len(SIGNAL_STATES))[states]
     return feats
 
 
-def teacher_forward(scene: Scene, agent_id: str, params: ModelParams) -> gm.TrajectoryGMM:
-    """Predict a TrajectoryGMM for one agent, everything in the agent's frame."""
+def _agent_tracks(scene: Scene, agents: list[AgentTrack], anchors: list[Pose2], cfg: TeacherConfig):
+    """Track features of each agent's own history (B, L, F), of all of their
+    neighbors concatenated (N, L, F), and the agent index of each neighbor
+    row. An agent's neighbors are the other agents with a valid current
+    state within ``neighbor_radius``, nearest first, at most
+    ``max_neighbors``."""
+    histories = np.stack([a.history for a in scene.agents])
+    valid = histories[:, -1, 5] != 0.0
+    scene_ids = np.array([a.id for a in scene.agents])
+    own, neighbors, owner = [], [], []
+    for i, (agent, anchor) in enumerate(zip(agents, anchors)):
+        others = np.flatnonzero((scene_ids != agent.id) & valid)
+        dists = np.linalg.norm(histories[others, -1, :2] - [anchor.x, anchor.y], axis=1)
+        order = np.argsort(dists, kind="stable")
+        keep = others[order[dists[order] <= cfg.neighbor_radius][: cfg.max_neighbors]]
+        tracks = _track_features(np.concatenate([agent.history[None], histories[keep]]), anchor)
+        own.append(tracks[0])
+        neighbors.append(tracks[1:])
+        owner.append(np.full(keep.size, i))
+    return np.stack(own), np.concatenate(neighbors), np.concatenate(owner)
+
+
+def _rows(params: ModelParams, name: str, count: int) -> Tensor:
+    """The (1, H) parameter ``name`` repeated as ``count`` rows."""
+    row = params.buffers[name]
+    return row if count == 1 else dc.gather(row, np.zeros(count, dtype=np.intp), axis=0)
+
+
+def teacher_forward(scene: Scene, agent_id: str | list[str], params: ModelParams) -> gm.TrajectoryGMM:
+    """Agent-frame mixtures from one batched pass, each agent's inputs in
+    its own frame: for one id (a ``str``) its (K, T) mixture, for a list of
+    ids their (n, K, T) stack in list order.
+
+    The batch shares the polyline resampling, and runs one road MLP, one
+    LSTM per input kind, one neighbor max-pool and one decoder over all of
+    its agents, so its tape node count does not grow with n. Raises
+    ``KeyError`` for an unknown id and ``ValueError`` for an empty list.
+    """
     cfg: TeacherConfig = params.config
-    agent = scene.agent_by_id(agent_id)
-    anchor = _agent_anchor(agent)
-    bufs = params.buffers
-    h = cfg.hidden
+    single = isinstance(agent_id, str)
+    ids = [agent_id] if single else list(agent_id)
+    if not ids:
+        raise ValueError("teacher_forward needs at least one agent id")
+    agents = [scene.agent_by_id(aid) for aid in ids]
+    anchors = [_agent_anchor(a) for a in agents]
+    b, h = len(ids), cfg.hidden
 
     # road polylines: shared point MLP, max-pooled over points, then polylines
-    road = _road_features(scene, anchor, cfg)
-    if len(road):
-        m, n = road.shape[:2]
-        enc = _mlp(params, "road", Tensor(road.reshape(m * n, -1)), 2, final_relu=True)
-        per_poly_vec = dc.reduce_max_over_set(dc.reshape(enc, (m, n, h)), axis=1)
-        road_emb = dc.reshape(dc.reduce_max_over_set(per_poly_vec, axis=0), (1, h))
+    road = _road_features(scene, anchors, cfg)
+    if road.shape[1]:
+        m, n = road.shape[1:3]
+        enc = _mlp(params, "road", Tensor(road.reshape(b * m * n, -1)), 2, final_relu=True)
+        per_poly = dc.reduce_max_over_set(dc.reshape(enc, (b, m, n, h)), axis=2)
+        road_emb = dc.reduce_max_over_set(per_poly, axis=1)
     else:
-        road_emb = bufs["road.empty"]
+        road_emb = _rows(params, "road.empty", b)
 
     # traffic signals: shared LSTM over per-step (position, state one-hot)
     if scene.signals:
-        sig_h = _lstm_last(params, "signal", _signal_features(scene, anchor))
-        signal_emb = dc.reshape(dc.reduce_max_over_set(sig_h, axis=0), (1, h))
+        sig = _signal_features(scene, anchors)
+        sig_h = _lstm_last(params, "signal", sig.reshape((-1,) + sig.shape[2:]))
+        signal_emb = dc.reduce_max_over_set(dc.reshape(sig_h, (b, len(scene.signals), h)), axis=1)
     else:
-        signal_emb = bufs["signal.empty"]
+        signal_emb = _rows(params, "signal.empty", b)
 
-    # own motion history, then neighbors: nearest-first within radius, capped
-    histories = np.stack([a.history for a in scene.agents])
-    others = np.flatnonzero(np.array([a.id != agent_id for a in scene.agents]) & (histories[:, -1, 5] != 0.0))
-    dists = np.linalg.norm(histories[others, -1, :2] - [anchor.x, anchor.y], axis=1)
-    order = np.argsort(dists, kind="stable")
-    keep = others[order[dists[order] <= cfg.neighbor_radius][: cfg.max_neighbors]]
-    tracks = _track_features(np.concatenate([agent.history[None], histories[keep]]), anchor)
-    history_emb = _lstm_last(params, "history", tracks[:1])
-    if keep.size:
-        nb_h = _lstm_last(params, "neighbor", tracks[1:])
-        neighbor_emb = dc.reshape(dc.reduce_max_over_set(nb_h, axis=0), (1, h))
+    # own motion history, then neighbors max-pooled per agent; an agent
+    # without neighbors pools the learned empty row alone
+    own, neighbors, owner = _agent_tracks(scene, agents, anchors, cfg)
+    history_emb = _lstm_last(params, "history", own)
+    if owner.size:
+        nb_h = _lstm_last(params, "neighbor", neighbors)
+        alone = np.flatnonzero(np.bincount(owner, minlength=b) == 0)
+        if alone.size:
+            nb_h = dc.concat([nb_h, _rows(params, "neighbor.empty", alone.size)])
+            owner = np.concatenate([owner, alone])
+        neighbor_emb = dc.scatter_max_pool(nb_h, owner, b)
     else:
-        neighbor_emb = bufs["neighbor.empty"]
+        neighbor_emb = _rows(params, "neighbor.empty", b)
 
     emb = dc.concat([road_emb, signal_emb, history_emb, neighbor_emb], axis=1)
     raw = _mlp(params, "decoder", emb, 3)
     k, t = cfg.num_modes, cfg.horizon
     means, covs, logits = _gmm_head(raw, k, t, cfg.log_sigma_floor)
     # the current row is valid, so its features hold the agent-frame velocity
-    cv = _cv_rollout(tracks[:1, -1, 4:6], t, cfg.future_dt)
+    cv = np.repeat(_cv_rollout(own[:, -1, 4:6], t, cfg.future_dt)[:, None], k, axis=1)
+    lead = () if single else (b,)
     return gm.TrajectoryGMM(
-        means=dc.reshape(means, (k, t, 2)) + Tensor(np.tile(cv, (k, 1, 1))),
-        cov_params=dc.reshape(covs, (k, t, 3)),
-        logits=dc.reshape(logits, (k,)),
-        anchor=anchor,
+        means=dc.reshape(means, lead + (k, t, 2)) + Tensor(cv.reshape(lead + (k, t, 2))),
+        cov_params=dc.reshape(covs, lead + (k, t, 3)),
+        logits=dc.reshape(logits, lead + (k,)),
+        anchor=anchors[0] if single else anchors,
     )
 
 
@@ -563,14 +644,14 @@ def predict_scene(scene: Scene, agent_ids: list[str], params: ModelParams) -> tu
     the active tape if there is one: the predicted ids and their (n, K, T)
     stack, or ``([], None)``.
 
-    The teacher runs one ``teacher_forward`` per agent. The student encodes
-    the scene once and decodes all agents in one batched pass, leaving out
-    agents outside the grid extent.
+    The teacher makes one batched ``teacher_forward`` call for all agents.
+    The student encodes the scene once and decodes all agents in one batched
+    pass, leaving out agents outside the grid extent.
     """
     if params.kind == "student":
         return student_decode(student_forward_scene(scene, params), scene, agent_ids, params)
-    preds = [teacher_forward(scene, aid, params) for aid in agent_ids]
-    return (list(agent_ids), gm.stack(preds)) if preds else ([], None)
+    ids = list(agent_ids)
+    return (ids, teacher_forward(scene, ids, params)) if ids else ([], None)
 
 
 # ---------------------------------------------------------------------------

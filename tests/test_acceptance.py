@@ -154,6 +154,10 @@ def _pack(means, covs, logits):
 
 
 def test_criterion_3_loss_and_op_gradients():
+    """The loss sweeps take central differences at h = 1e-5: at 1e-4 their
+    h**2 truncation error meets coordinates whose gradient is near 0 (one
+    stacked instance read 1.4e-4: gradient -6.4e-6, difference error 1.8e-9
+    falling as h**2), so a new draw could fail without a defect."""
     t0 = time.time()
     k, t = 3, 4
     rng = np.random.default_rng(42)
@@ -178,14 +182,11 @@ def test_criterion_3_loss_and_op_gradients():
             def f(x, fn=fn, gt=gt, teacher=teacher, i=i):
                 return fn(_unpack(x, k, t), teacher, gt, 1000 + i)
 
-            worst = max(worst, dc.grad_check(f, x0))
+            worst = max(worst, dc.grad_check(f, x0, h=1e-5))
         assert worst <= 1e-4, f"loss {name}: max rel err {worst:.2e}"
 
         # a stack of three agents in one call, row 1 observed at some steps
-        # only: 50 instances, 150 agents, within the time budget; h = 1e-5,
-        # because at 1e-4 the h**2 truncation error of central differences
-        # meets coordinates whose gradient is near 0 (one instance read
-        # 1.4e-4: gradient -6.4e-6, difference error 1.8e-9 falling as h**2)
+        # only: 50 instances, 150 agents, within the time budget
         worst = 0.0
         for i in range(50):
             rows = [_random_gmm_tensors(rng, k, t) for _ in range(6)]
