@@ -14,10 +14,13 @@ Design notes:
   * ``lstm`` runs a whole sequence as one node with a hand-written
     backpropagation-through-time backward, in place of ~12 elementwise and
     matmul nodes per timestep.
-  * ``conv2d`` costs in proportion to its active windows, those that touch a
-    nonzero input row, in the forward and the weight gradient; on a sparse
-    pillar grid that is a small share of the grid. Its input gradient is one
-    dense matmul against the flipped kernel.
+  * ``conv2d`` costs in proportion to where its input differs from a
+    constant background row (zero, or the top-left row when that marks
+    fewer windows) in the forward, and to where its output gradient is
+    nonzero in the backward; on a sparse pillar grid, and when training
+    decodes a few agents, both are a small share of the grid.
+  * With no tape active, ``lstm`` keeps one step of its per-step records,
+    since no backward will read them.
   * Every op checks its output for non-finite values and raises immediately,
     which keeps failures close to their cause during training. The check
     reads one sum of squares and scans elementwise only when that is not
@@ -332,6 +335,46 @@ def slice_cols(t, lo: int, hi: int) -> Tensor:
     return _make(data, (t,), backward, "slice_cols")
 
 
+def select(t, index: Callable[[np.ndarray], np.ndarray]) -> Tensor:
+    """A copy of ``index(t.data)``. ``index`` must return a view of its
+    argument, made by reshapes and basic slicing, so that each element is
+    selected once; the backward writes the gradient through the same view
+    of a zero array."""
+    t = as_tensor(t)
+    view = index(t.data)
+    if not np.may_share_memory(view, t.data):
+        raise DiffError("op 'select': index returned a copy, not a view")
+
+    def backward(g):
+        full = np.zeros_like(t.data)
+        index(full)[...] = g
+        _accum(t, full)
+
+    return _make(view.copy(), (t,), backward, "select")
+
+
+def rotate(t, c, s, offset) -> Tensor:
+    """Row vectors (..., 2) of ``t`` rotated by the angle with cosine ``c``
+    and sine ``s``, plus ``offset``: (x c - y s, x s + y c) + offset. ``c``
+    and ``s`` broadcast against t's leading axes and ``offset`` against t;
+    all three are constants."""
+    t = as_tensor(t)
+    c, s = np.asarray(c), np.asarray(s)
+    x, y = t.data[..., 0], t.data[..., 1]
+    data = np.empty(t.data.shape)
+    data[..., 0] = x * c - y * s
+    data[..., 1] = x * s + y * c
+    data += offset
+
+    def backward(g):
+        gt = np.empty(g.shape)
+        gt[..., 0] = g[..., 0] * c + g[..., 1] * s
+        gt[..., 1] = g[..., 1] * c - g[..., 0] * s
+        _accum(t, gt)
+
+    return _make(data, (t,), backward, "rotate")
+
+
 def reshape(t, shape) -> Tensor:
     t = as_tensor(t)
     data = t.data.reshape(shape)
@@ -497,16 +540,33 @@ def _im2col(padded: np.ndarray, starts: np.ndarray, offsets: np.ndarray) -> np.n
     return np.take(padded.reshape(-1, c), starts[:, None] + offsets, axis=0).reshape(len(starts), offsets.size * c)
 
 
+def _window_any(mask: np.ndarray, kh: int, kw: int) -> np.ndarray:
+    """OR over every kh x kw window of a padded 2-D mask: (H, W) from
+    (H + kh - 1, W + kw - 1)."""
+    h, wd = mask.shape[0] - kh + 1, mask.shape[1] - kw + 1
+    out = np.zeros((h, wd), dtype=bool)
+    for i in range(kh):
+        for j in range(kw):
+            out |= mask[i : i + h, j : j + wd]
+    return out
+
+
 def conv2d(x, w, b) -> Tensor:
     """2-D convolution, stride 1, same (zero) padding, odd kernel sizes.
 
     x: (H, W, Cin); w: (kh, kw, Cin, Cout); b: (Cout,).
 
-    The forward and the weight gradient cost grows with the active output
-    rows, those whose window touches a nonzero (or non-finite) input row: one
-    matmul over their im2col rows. Every other row is the value of an
-    all-zero window, b. The input gradient is dense: the im2col of the padded
-    output gradient times the flipped, transposed kernel, one matmul.
+    The forward costs in proportion to the active output rows, those whose
+    window touches an input row that differs from a constant background row
+    (NaN differs from everything): one matmul over their im2col rows. Every
+    other row is the background window's value, computed once. The
+    background is the zero row, or the top-left input row when that is
+    nonzero and marks fewer active rows; under a nonzero background a window
+    over the zero padding is active too. The weight gradient covers the
+    active rows whose output gradient is nonzero (NaN counts) and one outer
+    product for the background rows; the input gradient is computed only
+    within kernel reach of a nonzero output-gradient row and is exactly zero
+    elsewhere.
     """
     x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
     h, wd, cin = x.data.shape
@@ -516,33 +576,49 @@ def conv2d(x, w, b) -> Tensor:
     if kh % 2 == 0 or kw % 2 == 0:
         raise ShapeError(f"op 'conv2d': kernel {kh}x{kw} is not odd")
     ph, pw = kh // 2, kw // 2
-    xp = np.pad(x.data, ((ph, ph), (pw, pw), (0, 0)))
+    pad = ((ph, ph), (pw, pw), (0, 0))
+    xp = np.pad(x.data, pad)
     # top-left flat position in the padded image of every output's window,
     # and the offsets of the window's pixels from it, kernel row-major
     starts = (np.arange(h)[:, None] * (wd + 2 * pw) + np.arange(wd)).ravel()
     offsets = (np.arange(kh)[:, None] * (wd + 2 * pw) + np.arange(kw)).ravel()
-    # an output is active when its window touches an occupied input row (NaN
-    # and inf count); the OR over the window's kh*kw shifts of the occupancy
-    occupied = xp.any(axis=2)
-    active = np.zeros((h, wd), dtype=bool)
-    for i in range(kh):
-        for j in range(kw):
-            active |= occupied[i : i + h, j : j + wd]
+    active = _window_any(xp.any(axis=2), kh, kw)
+    bgcol = np.zeros(kh * kw * cin)
+    top_left = x.data[0, 0]
+    if top_left.any():
+        # the zero padding differs from a nonzero background; a NaN row
+        # differs from every row, itself included, so a NaN top-left row
+        # marks every window and the zero background wins the tie
+        candidate = _window_any((xp != top_left).any(axis=2), kh, kw)
+        if np.count_nonzero(candidate) < np.count_nonzero(active):
+            active, bgcol = candidate, np.tile(top_left, kh * kw)
+    active = active.ravel()
     rows = np.flatnonzero(active)
     cols = _im2col(xp, starts[rows], offsets)
     wmat = w.data.reshape(kh * kw * cin, cout)
     data = np.empty((h * wd, cout))
-    # an all-zero window: b, or non-finite as the dense product when w is
-    data[:] = np.zeros((1, kh * kw * cin)) @ wmat + b.data
+    # the background window: b under the zero background, or non-finite as
+    # the dense product when w is
+    data[:] = bgcol[None] @ wmat + b.data
     data[rows] = cols @ wmat + b.data
 
     def backward(g):
         g2 = g.reshape(h * wd, cout)
-        _accum(w, (cols.T @ g2[rows]).reshape(w.data.shape))
+        gp = np.pad(g, pad)
+        live_p = gp.any(axis=2)
+        live = live_p[ph : ph + h, pw : pw + wd].ravel()
+        hit = np.flatnonzero(live[rows])
+        # every background row's window is bgcol; the outer product is zero
+        # under the zero background unless a NaN gradient must reach w
+        gw = cols[hit].T @ g2[rows[hit]] + np.outer(bgcol, g2[live & ~active].sum(axis=0))
+        _accum(w, gw.reshape(w.data.shape))
         _accum(b, g2.sum(axis=0))
-        gp = np.pad(g2.reshape(h, wd, cout), ((ph, ph), (pw, pw), (0, 0)))
+        # input rows within kernel reach of a nonzero output-gradient row
+        reach = np.flatnonzero(_window_any(live_p, kh, kw))
         wflip = w.data[::-1, ::-1].transpose(0, 1, 3, 2).reshape(kh * kw * cout, cin)
-        _accum(x, (_im2col(gp, starts, offsets) @ wflip).reshape(h, wd, cin))
+        gx = np.zeros((h * wd, cin))
+        gx[reach] = _im2col(gp, starts[reach], offsets) @ wflip
+        _accum(x, gx.reshape(h, wd, cin))
 
     return _make(data.reshape(h, wd, cout), (x, w, b), backward, "conv2d")
 
@@ -575,23 +651,27 @@ def lstm(xs, wx, wh, b, h0, c0) -> Tensor:
     nb, steps, nf = xs.shape
     xs_t = np.swapaxes(xs, 0, 1).reshape(steps * nb, nf)
     # time-major records: pre-activations, activated gates (i, f, g, o), the
-    # hidden and cell state entering each step, and tanh of each new cell state
+    # hidden and cell state entering each step, and tanh of each new cell
+    # state; with no tape nothing reads them after their step, so one slot,
+    # overwritten in place, holds them (the pre-activations stay whole)
+    taped = active_tape() is not None
     zs = (xs_t @ wx.data).reshape(steps, nb, 4 * hd)
-    gates = np.empty_like(zs)
-    hs = np.empty((steps + 1, nb, hd))
-    cs = np.empty((steps + 1, nb, hd))
-    tanh_c = np.empty((steps, nb, hd))
+    gates = np.empty((steps if taped else 1, nb, 4 * hd))
+    hs = np.empty((steps + 1 if taped else 1, nb, hd))
+    cs = np.empty_like(hs)
+    tanh_c = np.empty((len(gates), nb, hd))
     hs[0], cs[0] = h0.data, c0.data
     for t in range(steps):
-        z, a = zs[t], gates[t]
-        z += hs[t] @ wh.data
+        cur, nxt = (t, t + 1) if taped else (0, 0)
+        z, a = zs[t], gates[cur]
+        z += hs[cur] @ wh.data
         z += b.data
         a[:] = _sigmoid(z)
         np.tanh(z[:, 2 * hd : 3 * hd], out=a[:, 2 * hd : 3 * hd])
-        np.multiply(a[:, hd : 2 * hd], cs[t], out=cs[t + 1])
-        cs[t + 1] += a[:, :hd] * a[:, 2 * hd : 3 * hd]
-        np.tanh(cs[t + 1], out=tanh_c[t])
-        np.multiply(a[:, 3 * hd :], tanh_c[t], out=hs[t + 1])
+        np.multiply(a[:, hd : 2 * hd], cs[cur], out=cs[nxt])
+        cs[nxt] += a[:, :hd] * a[:, 2 * hd : 3 * hd]
+        np.tanh(cs[nxt], out=tanh_c[cur])
+        np.multiply(a[:, 3 * hd :], tanh_c[cur], out=hs[nxt])
     if not (np.all(np.isfinite(zs)) and np.all(np.isfinite(cs[-1]))):
         raise NonFiniteError("op 'lstm' produced non-finite values")
 

@@ -24,10 +24,13 @@ at the agent's cell. The rasterizer builds its points as arrays, block by
 block: one resample per road polyline, the signals, the agents' box points
 and past positions, with the kind one-hot set by indexing. The pillar MLP
 max-pools the points into their cells, and ``diffcore.conv2d`` computes only
-the windows that touch an occupied cell, so the encode costs in proportion
-to the occupied cells (about a tenth of the grid on generated scenes), not
-to the grid area. Scene encoding cost is independent of the number of
-agents; per-agent work is only the patch decode. ``student_decode`` is the
+the windows that touch a cell differing from the empty cells' constant
+value, so the encode costs in proportion to the occupied cells (about a
+tenth of the grid on generated scenes), not to the grid area; in training
+its backward runs only around the decoded agents' patches. Scene encoding
+cost is independent of the number of agents; per-agent work is only the
+patch decode, one gather, decoder and mixture head for all agents, with the
+rotation into each agent's frame as one fused node. ``student_decode`` is the
 one decode path: a single batched pass for any number of agents, on the
 tape when one is active, that leaves out agents outside the grid extent.
 Training and evaluation skip such agents; ``student_predict`` and
@@ -228,23 +231,32 @@ def _lstm_last(params: ModelParams, prefix: str, xs: np.ndarray) -> Tensor:
     return dc.lstm(xs, *(params.buffers[f"{prefix}.{n}"] for n in ("wx", "wh", "b", "h0", "c0")))
 
 
-def _gmm_head(raw: Tensor, k: int, horizon: int, log_sigma_floor: float) -> tuple[Tensor, Tensor, Tensor]:
-    """Split (n, K*(T*5+1)) decoder rows into mixture parameters.
-
-    Returns the mean offsets (n*K*T, 2), the covariance parameters
-    (n*K*T, 3) and the mode logits (n, K); rows run agent-major, then mode,
-    then step.
+def _gmm_head(
+    raw: Tensor, k: int, horizon: int, log_sigma_floor: float, lead: tuple
+) -> tuple[Tensor, Tensor, Tensor]:
+    """Split (n, K*(T*5+1)) decoder rows into mixture parameters: the mean
+    offsets lead + (K, T, 2), the covariance parameters lead + (K, T, 3) and
+    the mode logits lead + (K,), where ``lead`` is (n,), or () for n = 1.
+    Each row holds K*T step records (mean x, y, log sigma x, y, rho), then
+    the K logits.
     """
     body = k * horizon * 5
-    flat = dc.reshape(dc.slice_cols(raw, 0, body), (-1, 5))
     # the decode head keeps sigma away from the global clamp's lower bound:
     # fully collapsed sigmas turn the likelihood terms of well-fit steps into
     # high-magnitude noise on the shared weights, which stalls training
-    log_sig = dc.clamp(
-        dc.slice_cols(flat, 2, 4), max(log_sigma_floor, gm.LOG_SIGMA_MIN), gm.LOG_SIGMA_MAX
+    lo, hi = np.full((2, raw.shape[1]), [[-np.inf], [np.inf]])
+    lo[:body].reshape(-1, 5)[:, 2:4] = max(log_sigma_floor, gm.LOG_SIGMA_MIN)
+    hi[:body].reshape(-1, 5)[:, 2:4] = gm.LOG_SIGMA_MAX
+    raw = dc.clamp(raw, lo, hi)
+
+    def steps(a):
+        return a[:, :body].reshape(lead + (k, horizon, 5))
+
+    return (
+        dc.select(raw, lambda a: steps(a)[..., :2]),
+        dc.select(raw, lambda a: steps(a)[..., 2:]),
+        dc.select(raw, lambda a: a[:, body:].reshape(lead + (k,))),
     )
-    covs = dc.concat([log_sig, dc.slice_cols(flat, 4, 5)], axis=1)
-    return dc.slice_cols(flat, 0, 2), covs, dc.slice_cols(raw, body, body + k)
 
 
 def _cv_rollout(v_agent: np.ndarray, horizon: int, dt: float) -> np.ndarray:
@@ -439,14 +451,14 @@ def teacher_forward(scene: Scene, agent_id: str | list[str], params: ModelParams
     emb = dc.concat([road_emb, signal_emb, history_emb, neighbor_emb], axis=1)
     raw = _mlp(params, "decoder", emb, 3)
     k, t = cfg.num_modes, cfg.horizon
-    means, covs, logits = _gmm_head(raw, k, t, cfg.log_sigma_floor)
+    lead = () if single else (b,)
+    means, covs, logits = _gmm_head(raw, k, t, cfg.log_sigma_floor, lead)
     # the current row is valid, so its features hold the agent-frame velocity
     cv = np.repeat(_cv_rollout(own[:, -1, 4:6], t, cfg.future_dt)[:, None], k, axis=1)
-    lead = () if single else (b,)
     return gm.TrajectoryGMM(
-        means=dc.reshape(means, lead + (k, t, 2)) + Tensor(cv.reshape(lead + (k, t, 2))),
-        cov_params=dc.reshape(covs, lead + (k, t, 3)),
-        logits=dc.reshape(logits, lead + (k,)),
+        means=means + Tensor(cv.reshape(lead + (k, t, 2))),
+        cov_params=covs,
+        logits=logits,
         anchor=anchors[0] if single else anchors,
     )
 
@@ -593,18 +605,13 @@ def student_decode(
     flat = dc.reshape(encoding.grid, (cfg.grid_h * cfg.grid_w, c))
     patches = dc.reshape(dc.gather(flat, cells[keep].ravel(), axis=0), (n, p * p * c))
     raw = _mlp(params, "decoder", dc.concat([patches, Tensor(extras)], axis=1), 3)
-    means, covs, logits = _gmm_head(raw, k, t, cfg.log_sigma_floor)
+    means, covs, logits = _gmm_head(raw, k, t, cfg.log_sigma_floor, (n,))
 
     # rotation by -heading of row vectors: (x, y) -> (x c + y s, y c - x s)
     rot_c, rot_s = np.hstack([cs, cs]), np.hstack([sn, -sn])
     cv = _cv_rollout(vels * rot_c + vels[:, ::-1] * rot_s, t, cfg.future_dt)
-    swapped = dc.matmul(means, Tensor(np.array([[0.0, 1.0], [1.0, 0.0]])))
-    means = (
-        means * Tensor(np.repeat(rot_c, k * t, axis=0))
-        + swapped * Tensor(np.repeat(rot_s, k * t, axis=0))
-        + Tensor(np.broadcast_to(cv[:, None], (n, k, t, 2)).reshape(n * k * t, 2))
-    )
-    return ids, gm.TrajectoryGMM(dc.reshape(means, (n, k, t, 2)), dc.reshape(covs, (n, k, t, 3)), logits, anchors)
+    means = dc.rotate(means, cs[:, :, None], -sn[:, :, None], cv[:, None])
+    return ids, gm.TrajectoryGMM(means, covs, logits, anchors)
 
 
 def _require_decoded(decoded: list[str], agent_ids: list[str]) -> None:

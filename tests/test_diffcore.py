@@ -269,7 +269,7 @@ def _separated(rng, rows, cols):
 @pytest.mark.parametrize(
     "name",
     ["concat", "gather", "reduce_sum", "reduce_max_over_set", "log", "sqrt", "conv2d", "conv2d_sparse",
-     "scatter_max_pool", "slice_cols", "affine"],
+     "conv2d_background", "scatter_max_pool", "slice_cols", "affine", "select", "rotate"],
 )
 def test_structural_op_gradcheck_100_instances(name):
     # str hash() is salted per process; crc32 gives every run the same draws
@@ -338,6 +338,33 @@ def test_structural_op_gradcheck_100_instances(name):
 
             def f(x):
                 return dc.reduce_sum(dc.square(dc.conv2d(x, Tensor(w), Tensor(b))))
+
+        elif name == "conv2d_background":
+            # one nonzero row everywhere but in two cells, which leaves at
+            # least 2 of the 20 inner windows on it: the forward takes the
+            # top-left row as its background
+            x0 = np.broadcast_to(rng.standard_normal(2), (7, 6, 2)).copy()
+            distinct = 1 + rng.permutation(41)[:2]
+            x0[distinct // 6, distinct % 6] = rng.standard_normal((2, 2))
+            w = rng.standard_normal((3, 3, 2, 2)) * 0.3
+            b = rng.standard_normal(2) * 0.1
+
+            def f(x):
+                return dc.reduce_sum(dc.square(dc.conv2d(x, Tensor(w), Tensor(b))))
+
+        elif name == "select":
+            x0 = rng.standard_normal((4, 7))
+
+            def f(x):
+                return dc.reduce_sum(dc.square(dc.select(x, lambda a: a[:, 1:7].reshape(4, 3, 2)[..., 1:])))
+
+        elif name == "rotate":
+            x0 = rng.standard_normal((3, 4, 2))
+            angle = rng.uniform(-np.pi, np.pi, (3, 1))
+            offset = rng.standard_normal((3, 4, 2))
+
+            def f(x):
+                return dc.reduce_sum(dc.square(dc.rotate(x, np.cos(angle), np.sin(angle), offset)))
 
         elif name == "affine":
             # x (4, 3), w (3, 2) and b (1, 2) packed in one row, so that one
@@ -424,6 +451,9 @@ def test_lstm_matches_unfused_composition(case):
         scale = np.max(np.abs(g_ref[name]))
         assert np.max(np.abs(g_fused[name] - g_ref[name])) <= 1e-9 * scale, name
     assert nodes == 3  # lstm, the output weighting and its sum
+    # with no tape the step records share one slot; the output is the same
+    untaped = dc.lstm(xs, *(Tensor(arrays[n]) for n in LSTM_ARGS))
+    assert np.array_equal(untaped.data, h_fused)
 
 
 def test_lstm_length_0_returns_initial_state():
@@ -482,21 +512,43 @@ def _conv2d_im2col(x, w, b):
     return dc._make(data, (x, w, b), backward, "conv2d")
 
 
+def _sparse_grid(rng):
+    """16 x 16 x 3, > 90% zero rows; occupied rows on the border and in two
+    corners."""
+    x = np.zeros((16, 16, 3))
+    for r, c in [(0, 0), (15, 15), (0, 7), (8, 15), (15, 3), (6, 6), (7, 6), (11, 2)]:
+        x[r, c] = rng.standard_normal(3)
+    return x
+
+
 def _conv_input(case, rng):
     """(x, kernel size) of each case."""
     if case == "dense":
         return rng.standard_normal((9, 9, 3)), 3
-    if case == "sparse":
-        # > 90% zero rows; occupied rows on the border and in two corners
-        x = np.zeros((16, 16, 3))
-        for r, c in [(0, 0), (15, 15), (0, 7), (8, 15), (15, 3), (6, 6), (7, 6), (11, 2)]:
-            x[r, c] = rng.standard_normal(3)
-        return x, 3
+    if case in ("sparse", "nan_grad"):
+        return _sparse_grid(rng), 3
     if case == "all_zero":
         return np.zeros((6, 7, 3)), 3
     if case == "h_ne_w":
         x = rng.standard_normal((5, 11, 3))
         x[rng.random((5, 11)) < 0.6] = 0.0
+        return x, 3
+    if case == "sparse_grad":
+        x = rng.standard_normal((16, 16, 3))
+        x[rng.random((16, 16)) < 0.5] = 0.0
+        return x, 3
+    if case.startswith("background"):
+        # one nonzero row everywhere (a trained bias after relu) but a few
+        # distinct rows, on the border and inside
+        x = np.broadcast_to(rng.standard_normal(3), (12, 10, 3)).copy()
+        for r, c in [(0, 6), (11, 9), (5, 0), (6, 4), (7, 4)]:
+            x[r, c] = rng.standard_normal(3)
+        return x, int(case[-1])
+    if case.startswith("top_left"):
+        # an occupied or NaN top-left row on a sparse grid: it differs from
+        # the other rows, so the zero background must win
+        x = _sparse_grid(rng)
+        x[0, 0] = np.nan if case == "top_left_nan" else 1.0 + rng.random(3)
         return x, 3
     size = int(case[-1])  # kernel_1, kernel_3, kernel_5
     x = rng.standard_normal((10, 8, 3))
@@ -504,29 +556,116 @@ def _conv_input(case, rng):
     return x, size
 
 
-@pytest.mark.parametrize("case", ["dense", "sparse", "all_zero", "h_ne_w", "kernel_1", "kernel_3", "kernel_5"])
-def test_conv2d_matches_dense_im2col_oracle(case):
+def _output_grad(case, w_out):
+    """The output gradient of each case: ``w_out`` itself, or for the sparse
+    ones a few 5 x 5 patches of it, one on the border, exactly 0 elsewhere;
+    ``nan_grad`` adds a NaN in one channel at a row whose window touches no
+    occupied row, and in another at a row whose window does."""
+    if case not in ("sparse_grad", "nan_grad"):
+        return w_out
+    g = np.zeros_like(w_out)
+    for r, c in [(0, 11), (6, 3)]:
+        g[r : r + 5, c : c + 5] = w_out[r : r + 5, c : c + 5]
+    if case == "nan_grad":
+        g[12, 12, 1] = g[6, 6, 3] = np.nan
+    return g
+
+
+def _windows(shape, k):
+    """For every output position, its k x k window as in-grid positions and
+    whether it overlaps the padding."""
+    h, w = shape
+    r = k // 2
+    for i in range(h):
+        for j in range(w):
+            pos = [(a, b) for a in range(i - r, i + r + 1) for b in range(j - r, j + r + 1)]
+            inside = [(a, b) for a, b in pos if 0 <= a < h and 0 <= b < w]
+            yield (i, j), inside, len(inside) < len(pos)
+
+
+def _computed_windows(x, k):
+    """How many output windows the forward computes: those holding a row
+    unequal to the background (NaN is unequal to all), or the padding under
+    a nonzero background, counted for the zero background and, when the
+    top-left row is nonzero, for that row; the fewer of the two."""
+    backgrounds = [np.zeros(x.shape[2])] + ([x[0, 0]] if x[0, 0].any() else [])
+    windows = list(_windows(x.shape[:2], k))
+    return min(
+        sum(any((x[a, b] != bg).any() for a, b in inside) or (pad and bg.any()) for _, inside, pad in windows)
+        for bg in backgrounds
+    )
+
+
+def _gradient_reach(g, k):
+    """Input positions within a k x k window of a nonzero (or NaN) output
+    gradient row."""
+    reach = np.zeros(g.shape[:2], dtype=bool)
+    for (i, j), inside, _ in _windows(g.shape[:2], k):
+        if g[i, j].any():
+            for a, b in inside:
+                reach[a, b] = True
+    return reach
+
+
+def _assert_close(new, ref, bound, name):
+    """Within ``bound`` of the largest finite reference magnitude, NaN where
+    the reference is NaN."""
+    nan = np.isnan(ref)
+    assert np.array_equal(np.isnan(new), nan), name
+    scale = max(np.max(np.abs(ref[~nan]), initial=0.0), 1e-300)
+    assert np.max(np.abs(new[~nan] - ref[~nan]), initial=0.0) <= bound * scale, name
+
+
+CONV_CASES = [
+    "dense", "sparse", "all_zero", "h_ne_w", "kernel_1", "kernel_3", "kernel_5",
+    "sparse_grad", "nan_grad", "background_3", "background_5", "top_left_occupied", "top_left_nan",
+]
+
+
+@pytest.mark.parametrize("case", CONV_CASES)
+def test_conv2d_matches_dense_im2col_oracle(case, monkeypatch):
     rng = np.random.default_rng(zlib.crc32(case.encode()))
     x0, k = _conv_input(case, rng)
     arrays = {"x": x0, "w": rng.standard_normal((k, k, 3, 4)) * 0.3, "b": rng.standard_normal(4)}
-    w_out = rng.standard_normal(x0.shape[:2] + (4,))
+    g_out = _output_grad(case, rng.standard_normal(x0.shape[:2] + (4,)))
+    # the rows each im2col of dc.conv2d gathers: the forward's, then the
+    # input gradient's
+    gathered = []
+    im2col = dc._im2col
+    monkeypatch.setattr(dc, "_im2col", lambda p, s, o: gathered.append(len(s)) or im2col(p, s, o))
+    if case == "top_left_nan":
+        # a NaN reaches the output either way; the forward gathered only the
+        # windows of the zero background
+        for conv in (dc.conv2d, _conv2d_im2col):
+            with pytest.raises(dc.NonFiniteError, match="conv2d"):
+                conv(Tensor(x0), Tensor(arrays["w"]), Tensor(arrays["b"]))
+        assert gathered == [_computed_windows(x0, k)]
+        assert gathered[0] < x0[:, :, 0].size
+        return
     results = []
     for conv in (dc.conv2d, _conv2d_im2col):
         t = {n: Tensor(a.copy()) for n, a in arrays.items()}
-        with Tape() as tape:
+        with Tape():
             y = conv(t["x"], t["w"], t["b"])
-            tape.backward(dc.reduce_sum(y * Tensor(w_out)))
+        y._backward(g_out)
         results.append((y.data, {n: t[n].grad for n in t}))
     (y_new, g_new), (y_ref, g_ref) = results
     assert np.max(np.abs(y_new - y_ref)) <= 1e-12
     for n in arrays:
-        scale = max(np.max(np.abs(g_ref[n])), 1e-300)
-        assert np.max(np.abs(g_new[n] - g_ref[n])) <= 1e-9 * scale, n
+        _assert_close(g_new[n], g_ref[n], 1e-9, n)
+    reach = _gradient_reach(g_out, k)
+    assert gathered == [_computed_windows(x0, k), np.count_nonzero(reach)]
+    assert not g_new["x"][~reach].any()
     if case == "sparse":
         assert np.mean(~x0.any(axis=2)) >= 0.9
     if case == "all_zero":
         assert np.array_equal(y_new, np.broadcast_to(arrays["b"], y_new.shape))
         assert not g_new["w"].any()
+    if case == "nan_grad":
+        assert np.isnan(g_new["w"]).any() and np.isnan(g_new["x"]).any()
+    if case.startswith("background"):
+        # the top-left row was the background: fewer windows than the zero one
+        assert gathered[0] < x0[:, :, 0].size
 
 
 def test_conv2d_nan_in_zero_grid_raises():
@@ -535,3 +674,10 @@ def test_conv2d_nan_in_zero_grid_raises():
     x[3, 5, 1] = np.nan
     with pytest.raises(dc.NonFiniteError, match="conv2d"):
         dc.conv2d(Tensor(x), Tensor(np.full((3, 3, 2, 2), 0.1)), Tensor(np.zeros(2)))
+
+
+def test_select_rejects_an_index_that_copies():
+    # a copy would take the backward's gradient with it
+    x = Tensor(np.arange(6.0).reshape(2, 3))
+    with pytest.raises(dc.DiffError, match="select"):
+        dc.select(x, lambda a: a[[1, 0]])
