@@ -28,9 +28,9 @@ log = tr.distill_student(train_scenes, baseline, tr.TrainConfig(steps=60, seed=0
 print(f"baseline: loss {log.records[0].loss:.2f} -> {log.records[-1].loss:.2f}")
 
 # 3. Distilled student: same architecture, but each mode of the frozen
-#    teacher's trajectory set supervises the student mode matched to it
-#    one-to-one, weighted by the teacher's confidence in that mode (with a
-#    quarter-length warm-up on the distillation loss alone).
+#    teacher's trajectory set supervises the student mode of the same index,
+#    weighted by the teacher's confidence in that mode (with a quarter-length
+#    warm-up on the distillation loss alone).
 distilled = md.init_params(md.StudentConfig(), np.random.default_rng(0))
 cfg = tr.TrainConfig(steps=60, seed=0, method="set", lambda_mode="warmup25")
 log = tr.distill_student(train_scenes, distilled, cfg, teacher=teacher)

@@ -7,12 +7,12 @@ Teacher outputs are always treated as constants (frozen teacher): every loss
 detaches the teacher's buffers before use, so gradients flow only into the
 student's outputs.
 
-A mixture is an unordered set of modes: mode k of two separately initialised
-networks means nothing in common. ``DistillOptions.match_modes`` therefore
-pairs the teacher's modes one-to-one with the student's by least mean
-displacement before the set loss compares them (set matching as in DETR,
-arXiv 2005.12872), and weights each pair by the teacher's confidence in its
-mode (soft targets as in Hinton et al., arXiv 1503.02531).
+The set and distribution losses share the teacher's terms (``_teacher_terms``):
+a cross entropy on the teacher's mode weights and the per-step Gaussian KL
+between index-matched student and teacher modes (soft targets as in Hinton et
+al., arXiv 1503.02531). The teacher labels its modes as a function of the
+scene, so the student can learn its index pairing. The two losses differ only
+in their NLL.
 """
 
 from __future__ import annotations
@@ -38,18 +38,11 @@ class DistillOptions:
     ``sample_mode_only``: sample distillation draws only a mode index from the
     teacher's confidence and uses that mode's means as the proxy label; when
     False, per-step Gaussian noise is added as well.
-    ``match_modes``: the set loss pairs teacher mode k with the student mode
-    sigma(k) of the least-cost one-to-one assignment, weights the pair's NLL
-    and CE by the teacher's confidence in mode k, and adds the per-step
-    Gaussian KL between the pair. Off, it is the index-matched reference
-    (teacher mode k supervises student mode k, every mode's NLL counts the
-    same, no KL); ``TrainConfig.distill_options`` always turns it on.
     """
 
     ce_literal_per_k: bool = False
     kl_reverse: bool = False
     sample_mode_only: bool = True
-    match_modes: bool = False
 
 
 @dataclass
@@ -102,133 +95,46 @@ def _check_compat(student: TrajectoryGMM, teacher: TrajectoryGMM) -> None:
         raise ValueError(f"student means {s} and teacher means {t} differ in agents, modes or horizon")
 
 
-# exact assignment by a DP over the 2^K subsets of student modes, vectorised
-# over the rows; its time and memory grow as K 2^K, so beyond this K each
-# row is solved by shortest augmenting paths in O(K^3) instead
-_DP_MAX_MODES = 8
-
-
-def _assign_dp(cost: np.ndarray) -> np.ndarray:
-    """Least-cost one-to-one assignment of each row of ``cost`` (n, K, K):
-    teacher mode k -> student mode out[:, k]. Of several least-cost
-    assignments it returns the lexicographically first: teacher mode 0 takes
-    the lowest student index any of them gives it, and so on."""
-    n, k, _ = cost.shape
-    masks = np.arange(1 << k)
-    bits = (masks[:, None] >> np.arange(k)) & 1 == 1  # (2^K, K): student j taken
-    # rest[:, m]: least cost of the teacher modes from popcount(m) on over the
-    # students outside m; take[:, m]: the student the first of them takes
-    rest = np.zeros((n, 1 << k))
-    take = np.zeros((n, 1 << k), dtype=np.intp)
-    for mode in reversed(range(k)):
-        layer = masks[bits.sum(axis=1) == mode]
-        cand = rest[:, layer[:, None] | (1 << np.arange(k))] + cost[:, mode, None, :]
-        cand[:, bits[layer]] = np.inf
-        take[:, layer] = np.argmin(cand, axis=-1)
-        rest[:, layer] = cand.min(axis=-1)
-    out = np.empty((n, k), dtype=np.intp)
-    mask, rows = np.zeros(n, dtype=np.intp), np.arange(n)
-    for mode in range(k):
-        out[:, mode] = take[rows, mask]
-        mask = mask | (1 << out[:, mode])
-    return out
-
-
-def _hungarian(cost: np.ndarray) -> np.ndarray:
-    """Least-cost one-to-one assignment of one (K, K) matrix by shortest
-    augmenting paths (Kuhn-Munkres with potentials): row k -> column out[k]."""
-    k = len(cost)
-    u, v = np.zeros(k + 1), np.zeros(k + 1)
-    match = np.zeros(k + 1, dtype=np.intp)  # 1-based row on column j; 0: free
-    for row in range(1, k + 1):
-        match[0], col = row, 0
-        way = np.zeros(k + 1, dtype=np.intp)
-        minv = np.full(k + 1, np.inf)
-        used = np.zeros(k + 1, dtype=bool)
-        while match[col]:
-            used[col] = True
-            free = ~used
-            cur = cost[match[col] - 1] - u[match[col]] - v[1:]
-            better = free[1:] & (cur < minv[1:])
-            minv[1:] = np.where(better, cur, minv[1:])
-            way[1:] = np.where(better, col, way[1:])
-            nxt = 1 + int(np.argmin(np.where(free[1:], minv[1:], np.inf)))
-            delta = minv[nxt]
-            u[match[used]] += delta
-            v[used] -= delta
-            minv[free] -= delta
-            col = nxt
-        while col:
-            match[col] = match[way[col]]
-            col = way[col]
-    out = np.empty(k, dtype=np.intp)
-    out[match[1:] - 1] = np.arange(k)
-    return out
-
-
-def _match_modes(teacher_means: np.ndarray, student_means: np.ndarray) -> np.ndarray:
-    """sigma, shaped like the logits: per row, the one-to-one assignment of
-    teacher mode k to student mode sigma[k] of least total cost, the cost of
-    a pair being the mean over steps of the displacement between its means.
-    Exact at every K, and deterministic under ties."""
-    k, t = teacher_means.shape[-3:-1]
-    diff = teacher_means.reshape(-1, k, 1, t, 2) - student_means.reshape(-1, 1, k, t, 2)
-    cost = np.sqrt((diff**2).sum(axis=-1)).mean(axis=-1)
-    sigma = _assign_dp(cost) if k <= _DP_MAX_MODES else np.stack([_hungarian(c) for c in cost])
-    return sigma.reshape(teacher_means.shape[:-2])
-
-
-def _kl_sum(s_means: Tensor, s_covs: Tensor, t_means: np.ndarray, t_covs: np.ndarray, reverse: bool) -> Tensor:
-    """Sum of the per-step Gaussian KL(student || teacher) over flat rows of
-    means (m, 2) and covariances (m, 3); ``reverse`` takes KL(teacher || student)."""
-    if reverse:
-        return dc.reduce_sum(gm.gaussian_kl(t_means, t_covs, s_means, s_covs))
-    return dc.reduce_sum(gm.gaussian_kl(s_means, s_covs, t_means, t_covs))
+def _teacher_terms(
+    student: TrajectoryGMM, teacher: TrajectoryGMM, opts: DistillOptions
+) -> tuple[Tensor, Tensor]:
+    """The terms by which the set and distribution losses transfer the
+    teacher: the mode cross entropy -sum_k w_k log pi_k on the teacher's
+    weights w (times K under ``ce_literal_per_k``), and the sum over modes k
+    and steps t of KL(student_kt || teacher_kt) (KL(teacher || student) under
+    ``kl_reverse``)."""
+    ce = _ce_from_logits(student.logits, teacher.weights())
+    if opts.ce_literal_per_k:
+        ce = ce * float(student.num_modes)
+    t_means = gm._arr(teacher.means).reshape(-1, 2)
+    t_covs = gm._arr(teacher.cov_params).reshape(-1, 3)
+    s_means = dc.reshape(as_tensor(student.means), (-1, 2))
+    s_covs = dc.reshape(as_tensor(student.cov_params), (-1, 3))
+    if opts.kl_reverse:
+        kl = dc.reduce_sum(gm.gaussian_kl(t_means, t_covs, s_means, s_covs))
+    else:
+        kl = dc.reduce_sum(gm.gaussian_kl(s_means, s_covs, t_means, t_covs))
+    return ce, kl
 
 
 def distill_set_loss(
     student: TrajectoryGMM, teacher: TrajectoryGMM, opts: DistillOptions | None = None
 ) -> LossBreakdown:
     """Trajectory-set distillation: every teacher mode mean is a pseudo-label
-    for one student mode, plus CE on the mode distributions.
-
-    With ``opts.match_modes`` (what training uses), teacher mode k supervises
-    the student mode sigma(k) of the least-cost one-to-one assignment
-    (``_match_modes``, on detached means), weighted by the teacher's
-    confidence w_k:
-    NLL = -sum_k w_k sum_t log N(teacher mean_kt | student mode sigma(k), t),
-    CE = -sum_k w_k log pi_sigma(k), KL = sum_k sum_t KL(student_sigma(k),t ||
-    teacher_kt). Under the default options it is the index-matched
-    reference: teacher mode k supervises student mode k, every mode's NLL
-    counts once, and there is no KL term.
+    for the student mode of the same index, weighted by the teacher's
+    confidence w_k in that mode,
+    NLL = -sum_k w_k sum_t log N(teacher mean_kt | student mode k, t),
+    plus the teacher's CE and KL terms (``_teacher_terms``).
     """
     opts = opts or DistillOptions()
     _check_compat(student, teacher)
-    t_means, t_covs = gm._arr(teacher.means), gm._arr(teacher.cov_params)
-    t_weights = teacher.weights()
-    if opts.match_modes:
-        # relabel the teacher so that its mode sigma^-1(j) sits at index j:
-        # a sum over teacher modes k of terms in (k, sigma(k)) is then index-matched
-        inv = np.argsort(_match_modes(t_means, gm._arr(student.means)), axis=-1)
-        t_means = np.take_along_axis(t_means, inv[..., None, None], axis=-3)
-        t_covs = np.take_along_axis(t_covs, inv[..., None, None], axis=-3)
-        t_weights = np.take_along_axis(t_weights, inv, axis=-1)
     s_means = dc.reshape(as_tensor(student.means), (-1, 2))
     covs = dc.reshape(as_tensor(student.cov_params), (-1, 3))
-    logp = gm.gaussian2d_logpdf(dc.sub(t_means.reshape(-1, 2), s_means), covs)
-    if opts.match_modes:
-        logp = dc.mul(logp, np.repeat(t_weights.reshape(-1), student.horizon))
-    nll = -dc.reduce_sum(logp)
-
-    ce = _ce_from_logits(student.logits, t_weights)
-    if opts.ce_literal_per_k:
-        ce = ce * float(student.num_modes)
-    total = nll + ce
-    kl = _zero()
-    if opts.match_modes:
-        kl = _kl_sum(s_means, covs, t_means.reshape(-1, 2), t_covs.reshape(-1, 3), opts.kl_reverse)
-        total = total + kl
-    return LossBreakdown(total=total, nll_term=nll, ce_term=ce, kl_term=kl)
+    residual = dc.sub(gm._arr(teacher.means).reshape(-1, 2), s_means)
+    logp = gm.gaussian2d_logpdf(residual, covs)
+    nll = -dc.reduce_sum(dc.mul(logp, np.repeat(teacher.weights().reshape(-1), student.horizon)))
+    ce, kl = _teacher_terms(student, teacher, opts)
+    return LossBreakdown(total=nll + ce + kl, nll_term=nll, ce_term=ce, kl_term=kl)
 
 
 def lambda_schedule(step: int, total_steps: int, mode: str = "constant") -> int:
@@ -285,25 +191,10 @@ def distill_distribution_loss(
     gt: Trajectory,
     opts: DistillOptions | None = None,
 ) -> LossBreakdown:
-    """Distribution distillation: base loss + CE on mode weights + per-step
-    Gaussian KL between index-matched student and teacher components."""
+    """Distribution distillation: the base loss as the NLL, plus the
+    teacher's CE and KL terms (``_teacher_terms``)."""
     opts = opts or DistillOptions()
     _check_compat(student, teacher)
-    teacher_means = gm._arr(teacher.means).reshape(-1, 2)
-    teacher_covs = gm._arr(teacher.cov_params).reshape(-1, 3)
-
     base = base_loss(student, gt)
-    ce = _ce_from_logits(student.logits, teacher.weights())
-    if opts.ce_literal_per_k:
-        ce = ce * float(student.num_modes)
-
-    s_means = dc.reshape(as_tensor(student.means), (-1, 2))
-    s_covs = dc.reshape(as_tensor(student.cov_params), (-1, 3))
-    kl = _kl_sum(s_means, s_covs, teacher_means, teacher_covs, opts.kl_reverse)
-
-    return LossBreakdown(
-        total=base.total + ce + kl,
-        nll_term=base.nll_term,
-        ce_term=ce,
-        kl_term=kl,
-    )
+    ce, kl = _teacher_terms(student, teacher, opts)
+    return LossBreakdown(total=base.total + ce + kl, nll_term=base.nll_term, ce_term=ce, kl_term=kl)

@@ -8,9 +8,8 @@ stack of all predicted targets: the teacher trains as the ``none`` method
 (the base mixture NLL alone) at a constant lambda. The teacher is frozen
 during distillation; its per-agent predictions are computed once, memoized
 by (scene_id, agent_id), and stacked to match the student's. The ``set``
-method trains with the mode-matched, confidence-weighted set loss
-(``DistillOptions.match_modes``, always on in ``TrainConfig.distill_options``)
-plus the lambda-gated base loss.
+method trains with the confidence-weighted, index-matched set loss and the
+teacher's CE and KL terms, plus the lambda-gated base loss.
 
 Checkpoints are two files: a JSON manifest (schema version, model kind,
 config, ordered tensor names and shapes) and a raw little-endian float32
@@ -74,7 +73,6 @@ class TrainConfig:
             ce_literal_per_k=self.ce_literal_per_k,
             kl_reverse=self.kl_reverse,
             sample_mode_only=self.sample_mode_only,
-            match_modes=True,
         )
 
 

@@ -68,7 +68,7 @@ def _run_benchmark():
         tr.train_teacher(train_scenes, teacher, tr.TrainConfig(steps=TEACHER_STEPS, seed=seed))
         preds, gts = tr.predict_dataset(eval_scenes, teacher)
         results[(seed, "teacher")] = mt.evaluate(preds, gts, k=6)
-        for method in ("none", "set"):
+        for method in ("none", "set", "distribution"):
             student = md.init_params(md.StudentConfig(), np.random.default_rng(seed))
             cfg = tr.TrainConfig(
                 steps=STUDENT_STEPS, seed=seed, method=method, lambda_mode="warmup25"
@@ -78,7 +78,7 @@ def _run_benchmark():
             )
             preds, gts = tr.predict_dataset(eval_scenes, student)
             results[(seed, method)] = mt.evaluate(preds, gts, k=6)
-        for key in ("teacher", "none", "set"):
+        for key in ("teacher", "none", "set", "distribution"):
             r = results[(seed, key)]
             print(
                 f"seed {seed} {key:>7}: minADE {r.min_ade:.3f}  MR {r.miss_rate:.3f}"
@@ -107,11 +107,13 @@ def test_criterion_2bc_distillation_matches_baseline():
     """Median-over-seeds distilled student <= baseline within 1% relative, for
     minADE and miss rate.
 
-    Known limitation at this compute scale: the trajectory-set objective must
-    imitate every mixture mode at every step, which converges far more slowly
-    per optimizer step than fitting the single observed future, and the step
-    budget that fits the wall-clock cap is not enough to close the gap. The
-    check is asserted as documented rather than weakened.
+    What closes the gap is the teacher's weights and KL: each mode's NLL
+    weighted by the teacher's confidence in it, and the per-step Gaussian KL
+    to the teacher's mode. Without them the set-distilled student stayed
+    behind the baseline even at ten times the steps (median minADE 0.4043 and
+    MR 0.1559 at 8000 steps); with them it reads 0.3274 and 0.0455 at 800
+    steps, against the baseline's 0.3804 and 0.0671 (2-vCPU host, one BLAS
+    thread).
     """
     results = _run_benchmark()["results"]
 
@@ -124,6 +126,19 @@ def test_criterion_2bc_distillation_matches_baseline():
         assert set_m <= base_m * 1.01 + 1e-12, (
             f"{metric}: distilled median {set_m:.4f} vs baseline {base_m:.4f}"
         )
+
+
+def test_criterion_2d_distribution_distillation_beats_baseline():
+    """The headline: the median-over-seeds distribution-distilled student is
+    no worse than the no-teacher baseline on minADE and miss rate."""
+    results = _run_benchmark()["results"]
+
+    def median(key, metric):
+        return float(np.median([getattr(results[(s, key)], metric) for s in SEEDS]))
+
+    for metric in ("min_ade", "miss_rate"):
+        dist_m, base_m = median("distribution", metric), median("none", metric)
+        assert dist_m <= base_m, f"{metric}: distribution median {dist_m:.4f} vs baseline {base_m:.4f}"
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,3 @@
-import itertools
 import math
 import zlib
 
@@ -13,6 +12,7 @@ from trajdistill import losses as ls
 from trajdistill.diffcore import Tape, Tensor, grad_check
 from trajdistill.gmm import Trajectory, TrajectoryGMM
 from trajdistill.losses import DistillOptions
+from trajdistill.train import TrainConfig
 
 LOG_2PI = math.log(2 * math.pi)
 
@@ -94,6 +94,23 @@ def test_mode_cross_entropy_values():
         assert np.isclose(ce(p, q), expected, atol=1e-12)
 
 
+def set_oracle(student, teacher, kl_reverse=False):
+    """The set loss term by term, one mode and one step at a time."""
+    tw, sw = teacher.weights(), student.weights()
+    nll = ce = kl = 0.0
+    for k in range(teacher.num_modes):
+        ce -= tw[k] * math.log(sw[k])
+        for s in range(teacher.horizon):
+            nll -= tw[k] * float(
+                gm.gaussian2d_logpdf(teacher.means[k, s] - student.means[k, s], student.cov_params[k, s])
+            )
+            pair = [(student.means[k, s], student.cov_params[k, s]), (teacher.means[k, s], teacher.cov_params[k, s])]
+            if kl_reverse:
+                pair.reverse()
+            kl += float(gm.gaussian_kl(*pair[0], *pair[1]))
+    return {"nll_term": nll, "ce_term": ce, "kl_term": kl, "total": nll + ce + kl}
+
+
 def test_distill_set_fixed_point():
     rng = np.random.default_rng(1)
     means = rng.uniform(-3, 3, (2, 1, 2))
@@ -103,8 +120,9 @@ def test_distill_set_fixed_point():
     with Tape() as tape:
         out = ls.distill_set_loss(student, teacher)
         tape.backward(out.total)
-    assert np.isclose(float(out.total.data), math.log(2) + 2 * LOG_2PI, atol=1e-7)
-    assert np.isclose(float(out.total.data), 4.3689014, atol=1e-6)
+    # each mode's NLL is LOG_2PI weighted by 1/2, CE log 2, KL 0
+    assert np.isclose(float(out.total.data), math.log(2) + LOG_2PI, atol=1e-7)
+    assert np.isclose(float(out.total.data), 2.5310117, atol=1e-6)
     assert np.max(np.abs(student_means.grad)) < 1e-12
     # CE at pi = Pi equals the entropy of Pi
     assert np.isclose(float(out.ce_term.data), math.log(2), atol=1e-12)
@@ -114,7 +132,8 @@ def test_distill_set_offset_case():
     teacher = unit_gmm([[[1.0, 0.0]]], [0.0])
     student = unit_gmm([[[0.0, 0.0]]], [0.0])
     out = ls.distill_set_loss(student, teacher)
-    assert np.isclose(float(out.total.data), LOG_2PI + 0.5, atol=1e-9)
+    # NLL LOG_2PI + |d|^2 / 2, CE 0 (one mode), KL |d|^2 / 2 between unit Gaussians
+    assert np.isclose(float(out.total.data), LOG_2PI + 1.0, atol=1e-9)
 
 
 def test_distill_set_random_oracle_and_permutation_sensitivity():
@@ -122,16 +141,8 @@ def test_distill_set_random_oracle_and_permutation_sensitivity():
     for _ in range(30):
         student = make_gmm(rng, k=3, t=2)
         teacher = make_gmm(rng, k=3, t=2)
-        tw = teacher.weights()
-        sw = student.weights()
-        expected = -float(np.sum(tw * np.log(sw)))
-        for k in range(3):
-            for t in range(2):
-                expected -= float(
-                    gm.gaussian2d_logpdf(teacher.means[k, t] - student.means[k, t], student.cov_params[k, t])
-                )
         out = ls.distill_set_loss(student, teacher)
-        assert np.isclose(float(out.total.data), expected, atol=1e-9)
+        assert np.isclose(float(out.total.data), set_oracle(student, teacher)["total"], atol=1e-9)
         assert breakdown_consistent(out)
 
     # permuting teacher modes changes the loss unless the student follows
@@ -149,37 +160,6 @@ def test_distill_set_random_oracle_and_permutation_sensitivity():
     assert np.isclose(float(ls.distill_set_loss(s_perm, t_perm).total.data), v0, atol=1e-9)
 
 
-MATCHED = DistillOptions(match_modes=True)
-
-
-def _relabel(g, perm):
-    return TrajectoryGMM(means=g.means[perm], cov_params=g.cov_params[perm], logits=g.logits[perm])
-
-
-def matched_set_oracle(student, teacher, kl_reverse=False):
-    """The matched set loss term by term, the assignment found by trying all
-    K! of them."""
-    k, t = teacher.num_modes, teacher.horizon
-
-    def cost(perm):
-        return sum(np.linalg.norm(teacher.means[i] - student.means[j], axis=-1).mean() for i, j in enumerate(perm))
-
-    perm = min(itertools.permutations(range(k)), key=cost)
-    tw, sw = teacher.weights(), student.weights()
-    nll = ce = kl = 0.0
-    for i, j in enumerate(perm):
-        ce -= tw[i] * math.log(sw[j])
-        for s in range(t):
-            nll -= tw[i] * float(
-                gm.gaussian2d_logpdf(teacher.means[i, s] - student.means[j, s], student.cov_params[j, s])
-            )
-            pair = [(student.means[j, s], student.cov_params[j, s]), (teacher.means[i, s], teacher.cov_params[i, s])]
-            if kl_reverse:
-                pair.reverse()
-            kl += float(gm.gaussian_kl(*pair[0], *pair[1]))
-    return {"nll_term": nll, "ce_term": ce, "kl_term": kl, "total": nll + ce + kl}
-
-
 @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
 def test_matched_set_brute_force_oracle(k):
     rng = np.random.default_rng(30 + k)
@@ -187,29 +167,14 @@ def test_matched_set_brute_force_oracle(k):
         for _ in range(10):
             student = make_gmm(rng, k=k, t=3)
             teacher = make_gmm(rng, k=k, t=3)
-            out = ls.distill_set_loss(student, teacher, DistillOptions(match_modes=True, kl_reverse=kl_reverse))
-            for name, want in matched_set_oracle(student, teacher, kl_reverse).items():
+            out = ls.distill_set_loss(student, teacher, DistillOptions(kl_reverse=kl_reverse))
+            for name, want in set_oracle(student, teacher, kl_reverse).items():
                 assert np.isclose(float(getattr(out, name).data), want, rtol=1e-12, atol=1e-9), name
 
 
-def test_matched_set_invariant_under_teacher_relabelling():
-    """Every relabelling of the teacher's modes describes the same
-    distribution and gives the same matched loss; the index-matched reference
-    is not invariant (test_distill_set_random_oracle_and_permutation_sensitivity)."""
-    rng = np.random.default_rng(31)
-    for opts in (MATCHED, DistillOptions(match_modes=True, kl_reverse=True, ce_literal_per_k=True)):
-        student = make_gmm(rng, k=4, t=3)
-        teacher = make_gmm(rng, k=4, t=3)
-        v0 = _terms(ls.distill_set_loss(student, teacher, opts))
-        for perm in itertools.permutations(range(4)):
-            v = _terms(ls.distill_set_loss(student, _relabel(teacher, list(perm)), opts))
-            for name, want in v0.items():
-                assert abs(v[name] - want) <= 1e-12 * abs(want), (perm, name)
-
-
 def test_matched_set_fixed_point():
-    """A student equal to the teacher, modes in any order: zero gradient in
-    the means, zero KL, and CE equal to the entropy of the teacher's weights."""
+    """A student equal to the teacher: zero gradient in the means, zero KL,
+    and CE equal to the entropy of the teacher's weights."""
     rng = np.random.default_rng(32)
     k, t = 4, 6
     teacher = TrajectoryGMM(
@@ -217,23 +182,21 @@ def test_matched_set_fixed_point():
     )
     w = teacher.weights()
     entropy = -float(np.sum(w * np.log(w)))
-    for perm in ([0, 1, 2, 3], [2, 0, 3, 1]):
-        same = _relabel(teacher, perm)
-        means = Tensor(same.means.copy())
-        student = TrajectoryGMM(means=means, cov_params=Tensor(same.cov_params.copy()), logits=Tensor(same.logits.copy()))
-        with Tape() as tape:
-            out = ls.distill_set_loss(student, teacher, MATCHED)
-            tape.backward(out.total)
-        assert np.max(np.abs(means.grad)) <= 1e-12
-        assert abs(float(out.kl_term.data)) <= 1e-12
-        assert abs(float(out.ce_term.data) - entropy) <= 1e-12
+    means = Tensor(teacher.means.copy())
+    student = TrajectoryGMM(means=means, cov_params=Tensor(teacher.cov_params.copy()), logits=Tensor(teacher.logits.copy()))
+    with Tape() as tape:
+        out = ls.distill_set_loss(student, teacher)
+        tape.backward(out.total)
+    assert np.max(np.abs(means.grad)) <= 1e-12
+    assert abs(float(out.kl_term.data)) <= 1e-12
+    assert abs(float(out.ce_term.data) - entropy) <= 1e-12
 
 
 @pytest.mark.parametrize("lead", [(), (3,)], ids=["single", "stack"])
 def test_matched_set_gradcheck(lead):
-    """Well-separated modes, as criterion 3 draws them, so that the
-    assignment cannot flip within the difference step; the teacher's modes
-    are shuffled, so the assignment is not the identity."""
+    """Well-separated modes, as criterion 3 draws them; the teacher's modes
+    are shuffled, so each student mode is supervised by a distant teacher
+    mode."""
     rng = np.random.default_rng(33)
     k, t = 3, 4
     worst = 0.0
@@ -249,43 +212,10 @@ def test_matched_set_gradcheck(lead):
         x0 = _pack(sm, sc, sl)
 
         def f(x, teacher=teacher):
-            return ls.distill_set_loss(_unpack(x, k, t, lead), teacher, MATCHED).total
+            return ls.distill_set_loss(_unpack(x, k, t, lead), teacher).total
 
         worst = max(worst, grad_check(f, x0, h=1e-5))
     assert worst <= 1e-4
-
-
-def test_mode_assignment_is_exact_at_every_k():
-    """The subset DP and, past its K, the augmenting-path solver both reach
-    the least total cost; on ties the DP takes the lexicographically first
-    least-cost assignment, and a row of a stack gets the same assignment as
-    the row alone."""
-    rng = np.random.default_rng(34)
-    for k in range(1, 7):
-        assert np.array_equal(ls._assign_dp(np.zeros((1, k, k)))[0], np.arange(k))
-        for _ in range(10):
-            cost = rng.uniform(0, 1, (3, k, k))
-            cost[1] = np.round(cost[1] * 2) / 2  # exact sums, many ties
-            dp = ls._assign_dp(cost)
-            for row, c in enumerate(cost):
-                def total(sigma, c=c):
-                    return c[np.arange(k), list(sigma)].sum()
-
-                first = min(itertools.permutations(range(k)), key=lambda p: (total(p), p))
-                for sigma in (dp[row], ls._hungarian(c)):
-                    assert sorted(sigma) == list(range(k))
-                    assert abs(total(sigma) - total(first)) <= 1e-12
-                assert np.array_equal(ls._assign_dp(c[None])[0], dp[row])
-                if row == 1:
-                    assert tuple(dp[row]) == first
-    k = ls._DP_MAX_MODES + 2
-    t_means, s_means = rng.uniform(-4, 4, (2, 2, k, 5, 2))
-    sigma = ls._match_modes(t_means, s_means)
-    cost = np.sqrt(((t_means[:, :, None] - s_means[:, None]) ** 2).sum(axis=-1)).mean(axis=-1)
-    for row, c in enumerate(cost):
-        assert sorted(sigma[row]) == list(range(k))
-        least = c[np.arange(k), ls._assign_dp(c[None])[0]].sum()
-        assert abs(c[np.arange(k), sigma[row]].sum() - least) <= 1e-12
 
 
 def test_ce_literal_per_k_switch():
@@ -455,7 +385,9 @@ def test_stacked_loss_equals_sum_of_single_agent_calls(which):
     """A stack of four agents in one call equals the sum of the four
     single-agent calls term by term; row 1 is observed at two of four steps.
     Sample distillation draws once per row in row order, so two equally
-    seeded generators give the same draws."""
+    seeded generators give the same draws. The ``_matched`` inputs take the
+    index-matched set loss with the options training passes, the others with
+    both switches flipped."""
     rng = np.random.default_rng(zlib.crc32(which.encode()))
     n, k, t = 4, 3, 4
     students = [make_gmm(rng, k=k, t=t) for _ in range(n)]
@@ -463,10 +395,9 @@ def test_stacked_loss_equals_sum_of_single_agent_calls(which):
     validity = np.ones((n, t), dtype=bool)
     validity[1, [0, 2]] = False
     gts = [Trajectory(states=rng.uniform(-4, 4, (t, 2)), validity=v) for v in validity]
-    opts = DistillOptions(
-        sample_mode_only=which != "sample_noise", ce_literal_per_k=True, kl_reverse=True,
-        match_modes=which.endswith("_matched"),
-    )
+    opts = DistillOptions(sample_mode_only=which != "sample_noise", ce_literal_per_k=True, kl_reverse=True)
+    if which.endswith("_matched"):
+        opts = TrainConfig().distill_options()
     draws = {name: np.random.default_rng(11) for name in ("stacked", "single")}
 
     def loss(student, teacher, gt, rng):
