@@ -21,24 +21,28 @@ its agent count.
 The student rasterizes the scene once into a pillar grid, runs a small
 convolutional backbone, and decodes each agent from a feature patch cropped
 at the agent's cell. The rasterizer builds its points as arrays, block by
-block: one resample per road polyline, the signals, the agents' box points
-and past positions, with the kind one-hot set by indexing. The pillar MLP
-max-pools the points into their cells, and ``diffcore.conv2d`` computes only
-the windows that touch a cell differing from the empty cells' constant
-value, so the encode costs in proportion to the occupied cells (about a
-tenth of the grid on generated scenes), not to the grid area; in training
-its backward runs only around the decoded agents' patches. Scene encoding
-cost is independent of the number of agents; per-agent work is only the
-patch decode, one gather, decoder and mixture head for all agents, with the
-rotation into each agent's frame as one fused node. ``student_decode`` is the
-one decode path: a single batched pass for any number of agents, on the
-tape when one is active, that leaves out agents outside the grid extent.
-Training and evaluation skip such agents; ``student_predict`` and
-``student_decode_agent`` raise ``OutOfExtentError`` for them.
+block: one resample for all road polylines, the signals, the agents' box
+points and past positions, with the kind one-hot set by indexing. The pillar
+MLP max-pools the points into their cells over the whole scene. Given the
+decoded agents' ids, ``student_forward_scene`` has each ``diffcore.conv2d``
+compute only the receptive field of their patches (the full grid when no
+ids are given), and within it only the windows that touch a cell differing
+from the empty cells' constant value; in training the backward runs only
+around the patches. So the convolutions cost in proportion to the decoded
+agents and the occupied cells, not to the grid area: never more rows than
+the occupied cells' windows (about a tenth of the grid on generated scenes).
+Per-agent decode work is one gather, decoder and mixture head for all
+agents, with the rotation into each agent's frame as one fused node.
+``student_decode`` is the one decode path: a single batched pass for any
+number of agents, on the tape when one is active, that leaves out agents
+outside the grid extent. Training and evaluation skip such agents;
+``student_predict`` and ``student_decode_agent`` raise ``OutOfExtentError``
+for them.
 
 ``predict_scene`` is the one prediction call for both model kinds, used by
 training, evaluation and the latency harness: one batched
-``teacher_forward`` call, or one student encode and batched decode, returned
+``teacher_forward`` call, or one student encode of the agents' receptive
+field and one batched decode, returned
 as the predicted ids and one (n, K, T) mixture stack that the losses take
 whole.
 """
@@ -296,31 +300,28 @@ def _track_features(histories: np.ndarray, anchor: Pose2) -> np.ndarray:
     return out
 
 
-def _resample_polyline(points: np.ndarray, n: int) -> np.ndarray:
-    seg = np.linalg.norm(np.diff(points, axis=0), axis=1)
-    s = np.concatenate([[0.0], np.cumsum(seg)])
-    target = np.linspace(0.0, s[-1], n)
-    out = np.empty((n, 2))
-    out[:, 0] = np.interp(target, s, points[:, 0])
-    out[:, 1] = np.interp(target, s, points[:, 1])
-    return out
-
-
-def _resample_polylines(points: np.ndarray, starts: np.ndarray, n: int) -> np.ndarray:
+def _resample_polylines(points: np.ndarray, starts: np.ndarray, n) -> np.ndarray:
     """Every polyline of the concatenated ``points`` (N, 2), polyline i
-    starting at row ``starts[i]``, resampled at ``n`` points evenly spaced in
-    arc length, in one array pass: (len(starts), n, 2).
+    starting at row ``starts[i]``, resampled at ``n[i]`` points (``n`` an
+    int, or one count >= 2 per polyline) evenly spaced in arc length, in one
+    array pass: (len(starts), max(n), 2), the rows past a polyline's count
+    repeating its last point.
 
     Shorter polylines are padded with their last point, whose zero-length
-    segments add no arc length; the interpolation follows ``np.interp``, so
-    each row equals ``_resample_polyline`` of its polyline.
+    segments add no arc length. The arc-length targets follow
+    ``np.linspace`` on each polyline and the interpolation ``np.interp``, so
+    each polyline's rows equal a resample of that polyline alone.
     """
+    counts = np.broadcast_to(n, starts.shape)
     lens = np.diff(starts, append=len(points))
     width = int(lens.max())
     pts = points[starts[:, None] + np.minimum(np.arange(width), lens[:, None] - 1)]  # (m, L, 2)
     s = np.zeros(pts.shape[:2])
     np.cumsum(np.linalg.norm(np.diff(pts, axis=1), axis=2), axis=1, out=s[:, 1:])
-    target = np.linspace(0.0, s[:, -1], n, axis=1)  # (m, n)
+    # step j of polyline i at j * s_i / (n_i - 1), the last one at s_i
+    k = np.arange(int(counts.max()))
+    last = counts[:, None] - 1
+    target = np.where(k >= last, s[:, -1:], k * (s[:, -1:] / last))  # (m, max n)
     # the segment j with s[j] <= target < s[j + 1]; j = L - 1 past the end
     j = (s[:, None, :] <= target[:, :, None]).sum(axis=2) - 1
     rows, lo = np.arange(len(starts))[:, None], np.minimum(j, width - 2)
@@ -471,6 +472,8 @@ def teacher_forward(scene: Scene, agent_id: str | list[str], params: ModelParams
 class SceneEncoding:
     grid: Tensor  # (H, W, C)
     scene_id: str
+    # (H * W,) bool: the cells whose features were computed; None for all
+    cells: np.ndarray | None = None
 
 
 def _raster_points(scene: Scene, cfg: StudentConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -479,14 +482,21 @@ def _raster_points(scene: Scene, cfg: StudentConfig) -> tuple[np.ndarray, np.nda
     Rows run: each road polyline resampled at about one point per cell, in
     roadgraph order; the signals; five box points of every agent with a valid
     current state; then those agents' valid past positions. Each block is an
-    array (one resample per polyline) and the kind one-hot is set by indexing.
-    Points outside the grid extent are dropped.
+    array (one resample for all polylines) and the kind one-hot is set by
+    indexing. Points outside the grid extent are dropped.
     """
     xys, kinds, vels, ages = [np.zeros((0, 2))], [np.zeros(0, dtype=np.intp)], [], []
-    for poly in scene.roadgraph:
-        seg = np.linalg.norm(np.diff(poly.points, axis=0), axis=1).sum()
-        xys.append(_resample_polyline(poly.points, max(2, int(seg / cfg.cell_size) + 1)))
-        kinds.append(np.full(len(xys[-1]), RASTER_KINDS.index(poly.kind)))
+    if scene.roadgraph:
+        lens = [len(p.points) for p in scene.roadgraph]
+        starts = np.cumsum([0] + lens[:-1])
+        points = np.concatenate([p.points for p in scene.roadgraph])
+        seg = np.linalg.norm(np.diff(points, axis=0), axis=1)
+        # each polyline's own segments, summed as a sum over it alone would
+        length = np.array([seg[a : a + n - 1].sum() for a, n in zip(starts, lens)])
+        counts = np.maximum(2, (length / cfg.cell_size).astype(int) + 1)
+        road = _resample_polylines(points, starts, counts)
+        xys.append(road[np.arange(road.shape[1]) < counts[:, None]])
+        kinds.append(np.repeat([RASTER_KINDS.index(p.kind) for p in scene.roadgraph], counts))
     if scene.signals:
         xys.append(np.array([sig.position for sig in scene.signals]))
         kinds.append([RASTER_KINDS.index(f"signal_{sig.states[-1]}") for sig in scene.signals])
@@ -496,10 +506,11 @@ def _raster_points(scene: Scene, cfg: StudentConfig) -> tuple[np.ndarray, np.nda
 
     active = [a for a in scene.agents if a.history[-1, 5]]
     if active:
+        hist = np.stack([a.history for a in active])  # (n, H, 6)
         # current boxes: 5 sample points each, vectorized over agents
-        poses = np.array([a.current_pose() for a in active])
+        poses = hist[:, -1, :3]
         lw = np.array([[a.length, a.width] for a in active])
-        vel = np.array([a.history[-1, 3:5] for a in active]) / 10.0
+        vel = hist[:, -1, 3:5] / 10.0
         c, s = np.cos(poses[:, 2]), np.sin(poses[:, 2])
         rot = np.stack(
             [np.stack([c, -s], axis=-1), np.stack([s, c], axis=-1)], axis=1
@@ -516,7 +527,6 @@ def _raster_points(scene: Scene, cfg: StudentConfig) -> tuple[np.ndarray, np.nda
         ages.append(np.zeros(n_box))
 
         # past poses as single points so the grid carries motion history
-        hist = np.stack([a.history for a in active])  # (n, H, 6)
         last = hist.shape[1] - 1
         valid = hist[:, :last, 5] > 0
         xys.append(hist[:, :last, :2][valid])
@@ -541,8 +551,16 @@ def _raster_points(scene: Scene, cfg: StudentConfig) -> tuple[np.ndarray, np.nda
     return feats, iy * cfg.grid_w + ix
 
 
-def student_forward_scene(scene: Scene, params: ModelParams) -> SceneEncoding:
-    """Rasterize and encode the whole scene once (agent-count independent)."""
+def student_forward_scene(scene: Scene, params: ModelParams, agent_ids: list[str] | None = None) -> SceneEncoding:
+    """Rasterize and encode the scene once.
+
+    The raster, pillar MLP and scatter always cover the whole scene. Given
+    ``agent_ids``, the conv stack computes only the receptive field of those
+    agents' decode patches: the last layer their patch cells, each earlier
+    layer those cells dilated by the kernels after it. The encoding records
+    the computed cells, and decoding an agent whose patch lies outside them
+    raises. Without ids every cell is computed.
+    """
     cfg: StudentConfig = params.config
     feats, cells = _raster_points(scene, cfg)
     num_cells = cfg.grid_h * cfg.grid_w
@@ -552,15 +570,36 @@ def student_forward_scene(scene: Scene, params: ModelParams) -> SceneEncoding:
     else:
         grid_flat = Tensor(np.zeros((num_cells, cfg.pillar_embed)))
     grid = dc.reshape(grid_flat, (cfg.grid_h, cfg.grid_w, cfg.pillar_embed))
-    for i in range(len(cfg.conv_channels)):
-        grid = dc.relu(dc.conv2d(grid, params.buffers[f"conv{i}.w"], params.buffers[f"conv{i}.b"]))
-    return SceneEncoding(grid=grid, scene_id=scene.scene_id)
+    convs = [(params.buffers[f"conv{i}.w"], params.buffers[f"conv{i}.b"]) for i in range(len(cfg.conv_channels))]
+    wanted, computed = [None] * len(convs), None
+    if agent_ids is not None and convs:
+        patch, inside = _patch_indices(cfg, np.array([a.history[-1, :2] for a in _agents(scene, agent_ids)]))
+        computed = np.zeros(num_cells, dtype=bool)
+        computed[patch[inside]] = True
+        mask = computed.reshape(cfg.grid_h, cfg.grid_w)
+        for i in reversed(range(len(convs))):
+            wanted[i] = mask
+            mask = dc._window_any(mask, *convs[i][0].shape[:2])
+    for (w, b), keep in zip(convs, wanted):
+        grid = dc.relu(dc.conv2d(grid, w, b, keep))
+    return SceneEncoding(grid=grid, scene_id=scene.scene_id, cells=computed)
+
+
+def _agents(scene: Scene, agent_ids: list[str]) -> list[AgentTrack]:
+    """The first agent of each id, as ``Scene.agent_by_id`` returns, in one
+    pass; raises KeyError for an unknown id."""
+    by_id = {a.id: a for a in reversed(scene.agents)}
+    unknown = [aid for aid in agent_ids if aid not in by_id]
+    if unknown:
+        raise KeyError(f"unknown agent id: {unknown[0]}")
+    return [by_id[aid] for aid in agent_ids]
 
 
 def _patch_indices(cfg: StudentConfig, xy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Flat grid indices (n, patch**2) of the patches centered on the cells
-    of positions ``xy`` (n, 2), and a mask of the positions inside the grid
-    extent."""
+    of positions ``xy`` (n, 2), clipped to the grid, and a mask of the
+    positions inside the grid extent."""
+    xy = xy.reshape(-1, 2)
     size = np.array([cfg.grid_w, cfg.grid_h])
     cell = np.floor((xy + size * cfg.cell_size / 2.0) / cfg.cell_size).astype(int)
     inside = np.all((cell >= 0) & (cell < size), axis=1)
@@ -578,22 +617,21 @@ def student_decode(
     One patch gather, one decoder MLP and one GMM head serve every agent,
     recorded on the active tape if there is one. Returns the decoded ids and
     their (n, K, T) mixture stack, or ``([], None)``: agents outside the grid
-    extent are left out. Decoded mean offsets are scene-frame displacements
-    from the agent position; they are rotated by -heading and added to the
-    constant-velocity rollout.
+    extent are left out. Raises ValueError for an agent whose patch lies
+    outside the cells the encoding computed. Decoded mean offsets are
+    scene-frame displacements from the agent position; they are rotated by
+    -heading and added to the constant-velocity rollout.
     """
     cfg: StudentConfig = params.config
-    # first agent of each id, as Scene.agent_by_id returns, in one pass
-    by_id = {a.id: a for a in reversed(scene.agents)}
-    unknown = [aid for aid in agent_ids if aid not in by_id]
-    if unknown:
-        raise KeyError(f"unknown agent id: {unknown[0]}")
-    agents = [by_id[aid] for aid in agent_ids]
+    agents = _agents(scene, agent_ids)
     anchors = [_agent_anchor(a) for a in agents]
-    cells, inside = _patch_indices(cfg, np.array([[a.x, a.y] for a in anchors]).reshape(-1, 2))
+    cells, inside = _patch_indices(cfg, np.array([[a.x, a.y] for a in anchors]))
     keep = np.flatnonzero(inside)
     if keep.size == 0:
         return [], None
+    if encoding.cells is not None and not encoding.cells[cells[keep]].all():
+        outside = [agent_ids[i] for i in keep if not encoding.cells[cells[i]].all()]
+        raise ValueError(f"agents {outside}: decode patch outside the encoded cells")
     ids = [agent_ids[i] for i in keep]
     anchors = [anchors[i] for i in keep]
     vels = np.array([agents[i].history[-1, 3:5] for i in keep])
@@ -652,11 +690,13 @@ def predict_scene(scene: Scene, agent_ids: list[str], params: ModelParams) -> tu
     stack, or ``([], None)``.
 
     The teacher makes one batched ``teacher_forward`` call for all agents.
-    The student encodes the scene once and decodes all agents in one batched
-    pass, leaving out agents outside the grid extent.
+    The student encodes the scene once, computing its convolutions over the
+    receptive field of these agents' patches only, and decodes all agents in
+    one batched pass, leaving out agents outside the grid extent.
     """
     if params.kind == "student":
-        return student_decode(student_forward_scene(scene, params), scene, agent_ids, params)
+        # the ids go positionally: a wrapper of the encode may take no keywords
+        return student_decode(student_forward_scene(scene, params, agent_ids), scene, agent_ids, params)
     ids = list(agent_ids)
     return (ids, teacher_forward(scene, ids, params)) if ids else ([], None)
 
@@ -670,7 +710,11 @@ def _lstm_flops(in_dim: int, hidden: int, steps: int) -> int:
 
 
 def count_flops(kind: str, n_agents: int, m_road: int, config) -> int:
-    """Analytic multiply-add count of full-scene inference from shape algebra."""
+    """Analytic multiply-add count of full-scene inference from shape algebra.
+
+    The student's conv term is the dense full-grid upper bound: the encode
+    computes only the occupied windows of the decoded agents' receptive
+    field, which this count does not model."""
     if kind == "teacher":
         cfg: TeacherConfig = config
         h = cfg.hidden

@@ -164,11 +164,9 @@ def adam_step(
 
 
 def _collect_grads(params: md.ModelParams) -> dict[str, np.ndarray]:
-    out = {}
-    for name, t in params.buffers.items():
-        if t.grad is not None:
-            out[name] = t.grad.copy()
-    return out
+    """Each buffer's gradient, handed over uncopied: the backward allocated
+    it, and ``_zero_grads`` drops it before the next step."""
+    return {name: t.grad for name, t in params.buffers.items() if t.grad is not None}
 
 
 def _zero_grads(params: md.ModelParams) -> None:

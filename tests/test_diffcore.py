@@ -269,7 +269,7 @@ def _separated(rng, rows, cols):
 @pytest.mark.parametrize(
     "name",
     ["concat", "gather", "reduce_sum", "reduce_max_over_set", "log", "sqrt", "conv2d", "conv2d_sparse",
-     "conv2d_background", "scatter_max_pool", "slice_cols", "affine", "select", "rotate"],
+     "conv2d_background", "conv2d_wanted", "scatter_max_pool", "slice_cols", "affine", "select", "rotate"],
 )
 def test_structural_op_gradcheck_100_instances(name):
     # str hash() is salted per process; crc32 gives every run the same draws
@@ -351,6 +351,21 @@ def test_structural_op_gradcheck_100_instances(name):
 
             def f(x):
                 return dc.reduce_sum(dc.square(dc.conv2d(x, Tensor(w), Tensor(b))))
+
+        elif name == "conv2d_wanted":
+            # a sparse input and a mask of at least one output row; the loss
+            # reads only the rows in the mask
+            x0 = rng.standard_normal((5, 4, 2))
+            zero = rng.permutation(20)[:10]
+            x0[zero // 4, zero % 4] = 0.0
+            wanted = rng.random((5, 4)) < 0.4
+            wanted[rng.integers(5), rng.integers(4)] = True
+            w = rng.standard_normal((3, 3, 2, 2)) * 0.3
+            b = rng.standard_normal(2) * 0.1
+
+            def f(x):
+                y = dc.reshape(dc.conv2d(x, Tensor(w), Tensor(b), wanted), (20, 2))
+                return dc.reduce_sum(dc.square(dc.gather(y, np.flatnonzero(wanted), axis=0)))
 
         elif name == "select":
             x0 = rng.standard_normal((4, 7))
@@ -521,10 +536,21 @@ def _sparse_grid(rng):
     return x
 
 
+# the cases that compute only a mask of wanted rows, and the input each takes
+WANTED_INPUTS = {
+    "wanted_sparse": "sparse", "wanted_background": "background_3",
+    "wanted_top_left": "top_left_occupied", "wanted_border": "h_ne_w",
+}
+
+
 def _conv_input(case, rng):
     """(x, kernel size) of each case."""
+    case = WANTED_INPUTS.get(case, case)
     if case == "dense":
         return rng.standard_normal((9, 9, 3)), 3
+    if case == "blocks":
+        # more windows than one im2col block holds
+        return rng.standard_normal((24, 20, 3)), 3
     if case in ("sparse", "nan_grad"):
         return _sparse_grid(rng), 3
     if case == "all_zero":
@@ -556,6 +582,23 @@ def _conv_input(case, rng):
     return x, size
 
 
+def _wanted_mask(case, shape, rng):
+    """The output rows a case computes: every row, or for the ``wanted``
+    cases three 5 x 5 patches, clipped by the border for ``wanted_border``;
+    ``wanted_top_left`` also takes the windows on the top-left row."""
+    if case not in WANTED_INPUTS:
+        return None
+    mask = np.zeros(shape, dtype=bool)
+    mask[:2, :2] = case == "wanted_top_left"
+    if case == "wanted_border":
+        for r, c in [(-2, -2), (3, 8), (-2, 4)]:
+            mask[max(r, 0) : r + 5, max(c, 0) : c + 5] = True
+    else:
+        for r, c in rng.integers(0, [shape[0] - 4, shape[1] - 4], size=(3, 2)):
+            mask[r : r + 5, c : c + 5] = True
+    return mask
+
+
 def _output_grad(case, w_out):
     """The output gradient of each case: ``w_out`` itself, or for the sparse
     ones a few 5 x 5 patches of it, one on the border, exactly 0 elsewhere;
@@ -583,17 +626,20 @@ def _windows(shape, k):
             yield (i, j), inside, len(inside) < len(pos)
 
 
-def _computed_windows(x, k):
-    """How many output windows the forward computes: those holding a row
-    unequal to the background (NaN is unequal to all), or the padding under
-    a nonzero background, counted for the zero background and, when the
-    top-left row is nonzero, for that row; the fewer of the two."""
+def _computed_windows(x, k, wanted):
+    """The output windows the forward computes, as an (H, W) mask: those
+    among the ``wanted`` ones holding a row unequal to the background (NaN
+    is unequal to all), or the padding under a nonzero background, taken for
+    the zero background and, when the top-left row is nonzero, for that
+    row; the one of the two with fewer windows."""
     backgrounds = [np.zeros(x.shape[2])] + ([x[0, 0]] if x[0, 0].any() else [])
-    windows = list(_windows(x.shape[:2], k))
-    return min(
-        sum(any((x[a, b] != bg).any() for a, b in inside) or (pad and bg.any()) for _, inside, pad in windows)
-        for bg in backgrounds
-    )
+    masks = []
+    for bg in backgrounds:
+        mask = np.zeros(x.shape[:2], dtype=bool)
+        for pos, inside, pad in _windows(x.shape[:2], k):
+            mask[pos] = wanted[pos] and (any((x[a, b] != bg).any() for a, b in inside) or (pad and bg.any()))
+        masks.append(mask)
+    return min(masks, key=np.count_nonzero)
 
 
 def _gradient_reach(g, k):
@@ -617,9 +663,9 @@ def _assert_close(new, ref, bound, name):
 
 
 CONV_CASES = [
-    "dense", "sparse", "all_zero", "h_ne_w", "kernel_1", "kernel_3", "kernel_5",
+    "dense", "blocks", "sparse", "all_zero", "h_ne_w", "kernel_1", "kernel_3", "kernel_5",
     "sparse_grad", "nan_grad", "background_3", "background_5", "top_left_occupied", "top_left_nan",
-]
+] + list(WANTED_INPUTS)
 
 
 @pytest.mark.parametrize("case", CONV_CASES)
@@ -628,33 +674,53 @@ def test_conv2d_matches_dense_im2col_oracle(case, monkeypatch):
     x0, k = _conv_input(case, rng)
     arrays = {"x": x0, "w": rng.standard_normal((k, k, 3, 4)) * 0.3, "b": rng.standard_normal(4)}
     g_out = _output_grad(case, rng.standard_normal(x0.shape[:2] + (4,)))
-    # the rows each im2col of dc.conv2d gathers: the forward's, then the
-    # input gradient's
+    wanted = _wanted_mask(case, x0.shape[:2], rng)
+    keep = np.ones(x0.shape[:2], dtype=bool) if wanted is None else wanted
+    # the rows each im2col of dc.conv2d gathers: the forward's, in blocks,
+    # then the weight gradient's, then the input gradient's
     gathered = []
     im2col = dc._im2col
-    monkeypatch.setattr(dc, "_im2col", lambda p, s, o: gathered.append(len(s)) or im2col(p, s, o))
+    monkeypatch.setattr(dc, "_im2col", lambda r, i, s, o: gathered.append(len(s)) or im2col(r, i, s, o))
     if case == "top_left_nan":
         # a NaN reaches the output either way; the forward gathered only the
         # windows of the zero background
         for conv in (dc.conv2d, _conv2d_im2col):
             with pytest.raises(dc.NonFiniteError, match="conv2d"):
                 conv(Tensor(x0), Tensor(arrays["w"]), Tensor(arrays["b"]))
-        assert gathered == [_computed_windows(x0, k)]
+        assert gathered == [np.count_nonzero(_computed_windows(x0, k, keep))]
         assert gathered[0] < x0[:, :, 0].size
         return
+    # rows outside ``wanted`` are not part of conv2d's output: it ignores
+    # their gradient, which the dense oracle is handed as zero
+    g_kept = np.where(keep[:, :, None], g_out, 0.0)
     results = []
-    for conv in (dc.conv2d, _conv2d_im2col):
+    for conv, g in ((lambda *a: dc.conv2d(*a, wanted), g_out), (_conv2d_im2col, g_kept)):
         t = {n: Tensor(a.copy()) for n, a in arrays.items()}
         with Tape():
             y = conv(t["x"], t["w"], t["b"])
-        y._backward(g_out)
+        y._backward(g)
         results.append((y.data, {n: t[n].grad for n in t}))
     (y_new, g_new), (y_ref, g_ref) = results
-    assert np.max(np.abs(y_new - y_ref)) <= 1e-12
+    assert np.max(np.abs(y_new[keep] - y_ref[keep])) <= 1e-12
+    # the other rows hold one value, the background window's
+    assert np.array_equal(y_new[~keep], np.broadcast_to(y_new[~keep][:1], y_new[~keep].shape))
     for n in arrays:
         _assert_close(g_new[n], g_ref[n], 1e-9, n)
-    reach = _gradient_reach(g_out, k)
-    assert gathered == [_computed_windows(x0, k), np.count_nonzero(reach)]
+    reach = _gradient_reach(g_kept, k)
+    # the weight gradient gathers the computed windows with a live gradient
+    computed = _computed_windows(x0, k, keep)
+    hit = computed & g_kept.any(axis=2)
+    *forward, hit_rows, reach_rows = gathered
+    assert sum(forward) == np.count_nonzero(computed) and max(forward) <= dc._CONV_BLOCK
+    assert [hit_rows, reach_rows] == [np.count_nonzero(hit), np.count_nonzero(reach)]
+    if case == "blocks":
+        assert len(forward) == 2
+    if wanted is not None:
+        # the mask cut the forward's rows, but left some to compute
+        assert 0 < gathered[0] < np.count_nonzero(_computed_windows(x0, k, np.ones_like(keep)))
+    if case == "wanted_background":
+        # the top-left background won inside the mask too
+        assert gathered[0] < np.count_nonzero(keep)
     assert not g_new["x"][~reach].any()
     if case == "sparse":
         assert np.mean(~x0.any(axis=2)) >= 0.9

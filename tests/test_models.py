@@ -24,6 +24,17 @@ def _scene(seed=0, **kw):
     return sg.generate_scene(cfg, 0)
 
 
+def _resample_polyline(points, n):
+    """One polyline resampled at ``n`` points evenly spaced in arc length."""
+    seg = np.linalg.norm(np.diff(points, axis=0), axis=1)
+    s = np.concatenate([[0.0], np.cumsum(seg)])
+    target = np.linspace(0.0, s[-1], n)
+    out = np.empty((n, 2))
+    out[:, 0] = np.interp(target, s, points[:, 0])
+    out[:, 1] = np.interp(target, s, points[:, 1])
+    return out
+
+
 def _transform_scene(scene, dx, dy, theta):
     """Rigidly transform every geometric quantity of a scene."""
     c, s = math.cos(theta), math.sin(theta)
@@ -234,7 +245,7 @@ def _road_features_per_row(scene, anchor, cfg):
     out = np.zeros((len(order), cfg.points_per_polyline, md.ROAD_POINT_FEATURES))
     for j, i in enumerate(order):
         poly = scene.roadgraph[i]
-        for r, p in enumerate(md._resample_polyline(poly.points, cfg.points_per_polyline)):
+        for r, p in enumerate(_resample_polyline(poly.points, cfg.points_per_polyline)):
             out[j, r, :2] = world_to_agent(anchor, p)[0]
             out[j, r, 2 + md.ROAD_KINDS.index(poly.kind)] = 1.0
             out[j, r, -1] = poly.speed_limit_mps / 10.0
@@ -272,7 +283,14 @@ def test_resample_polylines_match_single_polyline_resample():
         got = md._resample_polylines(np.concatenate(polys), starts, 10)
         assert got.shape == (len(polys), 10, 2)
         for row, poly in zip(got, polys):
-            assert np.max(np.abs(row - md._resample_polyline(poly, 10))) <= 1e-12
+            assert np.max(np.abs(row - _resample_polyline(poly, 10))) <= 1e-12
+        # one count per polyline: the rows past a count repeat the last point
+        counts = rng.integers(2, 15, size=len(polys))
+        got = md._resample_polylines(np.concatenate(polys), starts, counts)
+        assert got.shape == (len(polys), counts.max(), 2)
+        for row, poly, n in zip(got, polys, counts):
+            assert np.max(np.abs(row[:n] - _resample_polyline(poly, n))) <= 1e-12
+            assert np.array_equal(row[n:], np.broadcast_to(row[n - 1], row[n:].shape))
 
 
 def test_teacher_forward_tape_node_budget():
@@ -311,7 +329,7 @@ def _raster_points_per_point(scene, cfg):
 
     for poly in scene.roadgraph:
         seg = np.linalg.norm(np.diff(poly.points, axis=0), axis=1).sum()
-        for p in md._resample_polyline(poly.points, max(2, int(seg / cfg.cell_size) + 1)):
+        for p in _resample_polyline(poly.points, max(2, int(seg / cfg.cell_size) + 1)):
             add(p, poly.kind)
     for sig in scene.signals:
         add(sig.position, f"signal_{sig.states[-1]}")
@@ -600,6 +618,59 @@ def test_predict_scene_student_equals_decode_and_leaves_out_off_grid_agent():
     enc = md.student_forward_scene(scene, params)
     decoded_ids, decoded = md.student_decode(enc, scene, ids, params)
     _assert_same_rows(got_ids, out, dict(zip(decoded_ids, gm.rows(decoded))))
+
+
+@pytest.mark.parametrize("case", ["one_agent", "all_agents", "off_grid", "border"])
+def test_receptive_field_encode_equals_full_grid_decode(case):
+    """``predict_scene`` encodes only its agents' receptive field; its
+    outputs and parameter gradients equal a decode of the full-grid
+    encode, with nonzero conv biases as after training."""
+    scene = _scene(8)
+    cfg = md.StudentConfig()
+    params = md.init_params(cfg, np.random.default_rng(4))
+    for i in range(len(cfg.conv_channels)):
+        params.buffers[f"conv{i}.b"].data[:] = np.random.default_rng(i).normal(0.0, 0.1, cfg.conv_channels[i])
+    ids = [a.id for a in scene.agents]
+    if case == "one_agent":
+        ids = ids[:1]
+    elif case == "off_grid":
+        scene.agent_by_id(ids[1]).history[-1, 0] = 500.0
+    elif case == "border":
+        # the agent's cell is the top-right one: its patch is clipped
+        scene.agent_by_id(ids[0]).history[-1, :2] = [cfg.grid_w - 0.5, cfg.grid_h - 0.5]
+        cells, inside = md._patch_indices(cfg, scene.agent_by_id(ids[0]).history[-1, :2])
+        assert inside[0] and len(set(cells[0])) < cfg.patch**2
+
+    def run(predict):
+        for t in params.buffers.values():
+            t.grad = None
+        with dc.Tape() as tape:
+            got, out = predict()
+            tape.backward(sum(dc.reduce_sum(dc.square(x)) for x in (out.means, out.cov_params, out.logits)))
+        return got, out, {name: t.grad for name, t in params.buffers.items()}
+
+    got, out, grads = run(lambda: md.predict_scene(scene, ids, params))
+    want_ids, want, want_grads = run(
+        lambda: md.student_decode(md.student_forward_scene(scene, params), scene, ids, params))
+    _assert_same_rows(got, out, dict(zip(want_ids, gm.rows(want))), rtol=1e-12)
+    for name, g in want_grads.items():
+        assert np.abs(grads[name] - g).max() <= 1e-12 * np.abs(g).max(), name
+    assert len(got) == len(ids) - (case == "off_grid")
+    enc = md.student_forward_scene(scene, params, ids)
+    assert md.student_forward_scene(scene, params).cells is None
+    assert 0 < np.count_nonzero(enc.cells) < enc.cells.size
+
+
+def test_student_decode_outside_encoded_cells_raises():
+    scene = _scene(8)
+    params = md.init_params(md.StudentConfig(), np.random.default_rng(0))
+    agents = scene.agents
+    near, far = agents[0], max(agents, key=lambda a: math.dist(a.history[-1, :2], agents[0].history[-1, :2]))
+    enc = md.student_forward_scene(scene, params, [near.id])
+    assert np.count_nonzero(enc.cells) == params.config.patch**2
+    assert md.student_decode(enc, scene, [near.id], params)[0] == [near.id]
+    with pytest.raises(ValueError, match=rf"\['{far.id}'\]: decode patch outside the encoded cells"):
+        md.student_decode(enc, scene, [near.id, far.id], params)
 
 
 def test_student_grid_shift_equivariance():
